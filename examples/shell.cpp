@@ -14,7 +14,7 @@
 //   :profile <query>   alias for the PROFILE prefix
 //   :lint <query>      alias for the LINT prefix (semantic diagnostics)
 //   :stats             database counters (nodes, rels, db hits)
-//   :writes            write-path counters (delta journal, WAL, next tid)
+//   :writes            write-path counters (commits, WAL, next tid)
 //   :post <uid> <txt>  typed write: post a tweet for <uid> (W1.1)
 //   :follow <a> <b>    typed write: <a> follows <b> (W2.1)
 //   :unfollow <a> <b>  typed write: tombstone the edge (W2.2)
@@ -193,7 +193,7 @@ int main(int argc, char** argv) {
           ":profile <query>  alias for the PROFILE prefix\n"
           ":lint <query>     alias for the LINT prefix\n"
           ":stats            database counters\n"
-          ":writes           write-path counters (delta journal, WAL)\n"
+          ":writes           write-path counters (commits, WAL)\n"
           ":post <uid> <txt> typed write: post a tweet for <uid>\n"
           ":follow <a> <b>   typed write: <a> follows <b>\n"
           ":unfollow <a> <b> typed write: remove the follows edge\n"
@@ -285,13 +285,12 @@ int main(int argc, char** argv) {
       }
       const mbq::store::DeltaStore& delta = writer->delta();
       std::printf(
-          "delta: %llu batch(es), %llu op(s), %llu tombstone(s), "
-          "last_seq=%llu commit_epoch=%llu next_tid=%lld\n",
+          "commits: %llu batch(es), %llu op(s), %llu tombstone(s), "
+          "last_seq=%llu next_tid=%lld\n",
           static_cast<unsigned long long>(delta.batches()),
           static_cast<unsigned long long>(delta.ops()),
           static_cast<unsigned long long>(delta.tombstones()),
           static_cast<unsigned long long>(delta.last_seq()),
-          static_cast<unsigned long long>(delta.last_epoch()),
           static_cast<long long>(writer->next_tid()));
       if (writer->wal() != nullptr) {
         std::printf("wal: %s — %llu record(s), %llu bytes\n",

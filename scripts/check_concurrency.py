@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Repo-local concurrency lint, run by the `analyze` CMake target.
 
-Three checks, all textual (no compiler needed, so they run on any box):
+Four checks, all textual (no compiler needed, so they run on any box):
 
 1. Raw mutex members. Every lock in the tree must be a util::RankedMutex /
    util::RankedSharedMutex so it carries a rank for the runtime deadlock
@@ -19,9 +19,16 @@ Three checks, all textual (no compiler needed, so they run on any box):
    scripts/rpc_wire.lock; any change that is not a pure append breaks
    mixed-version deployments (docs/CLUSTER.md).
 
+4. Lock hierarchy table. Every `LockRank::kX, "site"` literal in src/
+   (the site name may sit on the next line) must be listed in kX's row
+   of the table in docs/STATIC_ANALYSIS.md, where `exec.pool.*`-style
+   wildcards cover a family of sites; every rank in the table must exist
+   in util::LockRank with the same value.
+
 Exit status 0 when clean, 1 with one line per finding otherwise.
 """
 
+import fnmatch
 import pathlib
 import re
 import sys
@@ -30,6 +37,8 @@ REPO = pathlib.Path(__file__).resolve().parent.parent
 SRC = REPO / "src"
 WIRE_LOCK = REPO / "scripts" / "rpc_wire.lock"
 MESSAGES_H = SRC / "rpc" / "messages.h"
+LOCK_RANK_H = SRC / "util" / "lock_rank.h"
+STATIC_ANALYSIS_MD = REPO / "docs" / "STATIC_ANALYSIS.md"
 
 # src/util owns the wrappers; the std primitives may appear only there.
 EXEMPT_PREFIX = SRC / "util"
@@ -54,57 +63,64 @@ RAW_PATTERNS = [
 STRIP_LINE_COMMENT = re.compile(r"//.*$")
 
 
-def iter_source_files():
+def iter_source_files(include_util=False):
     for path in sorted(SRC.rglob("*")):
         if path.suffix not in (".h", ".cc"):
             continue
-        if EXEMPT_PREFIX in path.parents:
+        if not include_util and EXEMPT_PREFIX in path.parents:
             continue
         yield path
 
 
+def code_lines(path):
+    """The file's lines with comments blanked, line numbering kept.
+
+    Cheap comment stripping: enough for this tree's style (no raw strings
+    containing comment tokens)."""
+    in_block_comment = False
+    for line in path.read_text().splitlines():
+        if in_block_comment:
+            if "*/" not in line:
+                yield ""
+                continue
+            line = line.split("*/", 1)[1]
+            in_block_comment = False
+        line = STRIP_LINE_COMMENT.sub("", line)
+        if "/*" in line:
+            head, _, tail = line.partition("/*")
+            if "*/" in tail:
+                line = head + tail.split("*/", 1)[1]
+            else:
+                line = head
+                in_block_comment = True
+        yield line
+
+
 def check_raw_primitives(findings):
     for path in iter_source_files():
-        in_block_comment = False
-        for lineno, line in enumerate(
-                path.read_text().splitlines(), start=1):
-            # Cheap comment stripping: enough for this tree's style
-            # (no raw strings containing these tokens).
-            if in_block_comment:
-                if "*/" in line:
-                    line = line.split("*/", 1)[1]
-                    in_block_comment = False
-                else:
-                    continue
-            line = STRIP_LINE_COMMENT.sub("", line)
-            if "/*" in line:
-                head, _, tail = line.partition("/*")
-                if "*/" in tail:
-                    line = head + tail.split("*/", 1)[1]
-                else:
-                    line = head
-                    in_block_comment = True
+        for lineno, line in enumerate(code_lines(path), start=1):
             for pattern, why in RAW_PATTERNS:
                 if pattern.search(line):
                     rel = path.relative_to(REPO)
                     findings.append(f"{rel}:{lineno}: {why}")
 
 
-MSGTYPE_ENTRY = re.compile(r"^\s*(k[A-Za-z0-9]+)\s*=\s*(\d+)\s*,")
+ENUM_ENTRY = re.compile(r"^\s*(k[A-Za-z0-9]+)\s*=\s*(\d+)\s*,")
 
 
-def parse_enum_values():
-    """(name, value) pairs of rpc::MsgType, in declaration order."""
+def parse_enum_values(header, enum_name):
+    """(name, value) pairs of `enum class enum_name`, in declaration
+    order."""
     values = []
     in_enum = False
-    for line in MESSAGES_H.read_text().splitlines():
-        if "enum class MsgType" in line:
+    for line in header.read_text().splitlines():
+        if f"enum class {enum_name}" in line:
             in_enum = True
             continue
         if in_enum:
             if line.strip().startswith("}"):
                 break
-            m = MSGTYPE_ENTRY.match(STRIP_LINE_COMMENT.sub("", line))
+            m = ENUM_ENTRY.match(STRIP_LINE_COMMENT.sub("", line))
             if m:
                 values.append((m.group(1), int(m.group(2))))
     return values
@@ -125,7 +141,7 @@ def check_wire_stability(findings):
     if not WIRE_LOCK.exists():
         findings.append(f"{WIRE_LOCK.relative_to(REPO)}: manifest missing")
         return
-    enum = parse_enum_values()
+    enum = parse_enum_values(MESSAGES_H, "MsgType")
     lock = parse_wire_lock()
     if not enum:
         findings.append(
@@ -160,10 +176,54 @@ def check_wire_stability(findings):
         seen[value] = name
 
 
+# `LockRank::kX, "site"`, the site literal on the same or the next line.
+RANK_SITE = re.compile(r'LockRank::(k[A-Za-z0-9]+)\s*,[ \t]*\n?[ \t]*"([^"]*)"')
+# | `kX` | value | `site`, `site.*` | why |
+RANK_ROW = re.compile(r"^\|\s*`(k[A-Za-z0-9]+)`\s*\|\s*(\d+)\s*\|([^|]*)\|")
+
+
+def parse_rank_table():
+    """{rank: (value, [site patterns])} from the hierarchy table."""
+    rows = {}
+    for line in STATIC_ANALYSIS_MD.read_text().splitlines():
+        m = RANK_ROW.match(line)
+        if m:
+            rows[m.group(1)] = (int(m.group(2)),
+                                re.findall(r"`([^`]+)`", m.group(3)))
+    return rows
+
+
+def check_rank_table(findings):
+    doc = STATIC_ANALYSIS_MD.relative_to(REPO)
+    table = parse_rank_table()
+    if not table:
+        findings.append(f"{doc}: could not parse the lock hierarchy table")
+        return
+    enum = dict(parse_enum_values(LOCK_RANK_H, "LockRank"))
+    for rank, (value, _) in table.items():
+        if rank not in enum:
+            findings.append(f"{doc}: rank {rank} is not in util::LockRank")
+        elif enum[rank] != value:
+            findings.append(f"{doc}: rank {rank} is {value} in the table "
+                            f"but {enum[rank]} in util::LockRank")
+    for path in iter_source_files(include_util=True):
+        text = "\n".join(code_lines(path))
+        for m in RANK_SITE.finditer(text):
+            rank, site = m.groups()
+            patterns = table.get(rank, (None, []))[1]
+            if not any(fnmatch.fnmatchcase(site, p) for p in patterns):
+                lineno = text.count("\n", 0, m.start()) + 1
+                findings.append(
+                    f"{path.relative_to(REPO)}:{lineno}: lock site "
+                    f"\"{site}\" ({rank}) is missing from the {rank} row "
+                    f"of {doc}")
+
+
 def main():
     findings = []
     check_raw_primitives(findings)
     check_wire_stability(findings)
+    check_rank_table(findings)
     if findings:
         for f in findings:
             print(f)

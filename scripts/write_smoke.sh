@@ -5,8 +5,8 @@
 #   - the differential check agrees on every interleaved read AND write
 #     (the churn agreement property, docs/WRITES.md),
 #   - the exported metrics JSON carries non-zero write.* and wal.*
-#     counters — proof the commits actually flowed through the delta
-#     store and group-commit log rather than short-circuiting,
+#     counters — proof the commits actually flowed through the commit
+#     path and group-commit log rather than short-circuiting,
 #   - checkdb's write-path section passes on a clean store and catches
 #     an injected wal-tail fault.
 # This is the `write-smoke` CMake target.

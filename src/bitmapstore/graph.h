@@ -210,9 +210,6 @@ class Graph {
   /// object type it touches (cache::TypeDomain over the unified node/edge
   /// TypeId space); dropping a node bumps each incident edge type too.
   const cache::EpochRegistry& epochs() const { return epochs_; }
-  /// Mutable registry for embedders that bump domains of their own (the
-  /// live write path publishes cache::kCommitEpochDomain per commit).
-  cache::EpochRegistry& mutable_epochs() { return epochs_; }
   storage::BufferCacheStats cache_stats() const;
   storage::DiskStats disk_stats() const;
   /// Simulated on-disk footprint in bytes.

@@ -86,14 +86,6 @@ inline uint32_t LabelDomain(uint32_t label) { return label * 2; }
 inline uint32_t RelTypeDomain(uint32_t type) { return type * 2 + 1; }
 inline uint32_t TypeDomain(int32_t type) { return static_cast<uint32_t>(type); }
 
-/// Domain bumped once per committed live-write batch by the snapshot
-/// registry (store/delta/snapshot.h) — a coarse "something was written"
-/// signal layered on top of the per-label/per-type bumps the mutations
-/// themselves perform. Pinned to the top of the domain space so it only
-/// collides with wrap-around label/type ids that no realistic schema
-/// reaches.
-inline constexpr uint32_t kCommitEpochDomain = 0xFFFFFFFFu;
-
 }  // namespace mbq::cache
 
 #endif  // MBQ_CACHE_EPOCH_H_

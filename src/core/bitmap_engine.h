@@ -71,10 +71,11 @@ class BitmapEngine : public MicroblogEngine {
   }
 
   /// Turns the live write path on: builds the update applier and the
-  /// EngineWriter (replaying the WAL when `config.wal_dir` points at an
+  /// EngineWriter (replaying the WAL when `wal.dir` points at an
   /// existing log). `base` is the bulk-loaded dataset the writer extends
   /// (borrowed; only id-space sizes are read, at open).
-  Status EnableWrites(const WriteConfig& config, const twitter::Dataset& base);
+  Status EnableWrites(const store::WalOptions& wal,
+                      const twitter::Dataset& base);
 
   WritableEngine* AsWritable() override { return writer_.get(); }
 

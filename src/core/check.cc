@@ -568,91 +568,127 @@ uint64_t ReadLeU64(const char* p) {
 
 Result<CheckReport> CheckWritePath(MicroblogEngine& engine,
                                    const twitter::Dataset& base,
-                                   const std::string& wal_path,
                                    const CheckOptions& options) {
   WritableEngine* writer = engine.AsWritable();
   if (writer == nullptr) {
     return Status::InvalidArgument("engine " + engine.name() +
                                    " is read-only: no write path to check");
   }
+  if (writer->wal() == nullptr) {
+    return Status::InvalidArgument("engine " + engine.name() +
+                                   " runs without a WAL: no record of its "
+                                   "writes to check");
+  }
   CheckReport report;
   Collector issues(&report, options);
-  const store::DeltaStore& delta = writer->delta();
-  const std::vector<store::DeltaRecord> journal = delta.SnapshotRecords();
 
-  // Pass 1 — journal internal invariants. Replays the journal over the
-  // base crawl's follows set to predict which pairs should be visible.
+  // Pass 1 — decode the log independently (never truncating — a torn
+  // tail is evidence here, not something to repair) into the committed
+  // ops, in sequence order.
+  const std::string& wal_path = writer->wal()->path();
+  std::vector<store::WriteOp> ops;
+  uint64_t last_seq = 0;
+  std::ifstream in(wal_path, std::ios::binary);
+  if (!in) {
+    issues.Add("wal-record", "cannot read WAL at " + wal_path);
+  } else {
+    std::string data((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+    size_t off = 0;
+    while (data.size() - off >= kWalHeaderBytes) {
+      const char* p = data.data() + off;
+      if (ReadLeU32(p) != kWalMagic) break;
+      const uint64_t seq = ReadLeU64(p + 4);
+      const uint32_t len = ReadLeU32(p + 12);
+      const uint32_t crc = ReadLeU32(p + 16);
+      if (data.size() - off - kWalHeaderBytes < len) break;  // torn
+      std::string_view payload(p + kWalHeaderBytes, len);
+      if (store::WalCrc32(payload) != crc) {
+        issues.Add("wal-record", "record at offset " + IdStr(off) + " (seq " +
+                                     IdStr(seq) + ") fails its CRC");
+        break;
+      }
+      if (seq != last_seq + 1) {
+        issues.Add("wal-record", "sequence jumps from " + IdStr(last_seq) +
+                                     " to " + IdStr(seq) + " at offset " +
+                                     IdStr(off));
+        break;
+      }
+      Result<store::WriteBatch> batch = store::DecodeWriteBatch(payload);
+      if (!batch.ok()) {
+        issues.Add("wal-record", "record seq " + IdStr(seq) +
+                                     " does not decode: " +
+                                     batch.status().message());
+        break;
+      }
+      for (const store::WriteOp& op : batch->ops()) ops.push_back(op);
+      ++report.wal_records_checked;
+      last_seq = seq;
+      off += kWalHeaderBytes + len;
+    }
+    if (off < data.size()) {
+      issues.Add("wal-tail",
+                 IdStr(data.size() - off) +
+                     " byte(s) of torn or garbage tail at offset " +
+                     IdStr(off) + " (replay-on-open would truncate them)");
+    }
+  }
+
+  // Pass 2 — replay the logged ops over the base crawl's follows set to
+  // predict which pairs should be visible.
   const int64_t tid_floor = static_cast<int64_t>(base.tweets.size());
   std::set<std::pair<int64_t, int64_t>> live(base.follows.begin(),
                                              base.follows.end());
-  std::map<int64_t, std::set<int64_t>> touched;  // src -> dsts journaled
+  std::map<int64_t, std::set<int64_t>> touched;  // src -> dsts written
   std::set<int64_t> fresh_tids;
   uint64_t unfollows = 0;
-  uint64_t prev_seq = 0;
-  uint64_t prev_epoch = 0;
-  for (const store::DeltaRecord& rec : journal) {
+  for (const store::WriteOp& op : ops) {
     ++report.delta_ops_checked;
-    if (rec.epoch == 0 || rec.epoch < prev_epoch) {
-      issues.Add("delta-epoch", "journal op at seq " + IdStr(rec.seq) +
-                                    " carries commit epoch " +
-                                    IdStr(rec.epoch) + " after epoch " +
-                                    IdStr(prev_epoch));
-    }
-    if (rec.seq < prev_seq) {
-      issues.Add("delta-seq", "journal op order violates WAL order: seq " +
-                                  IdStr(rec.seq) + " after seq " +
-                                  IdStr(prev_seq));
-    }
-    prev_epoch = rec.epoch > prev_epoch ? rec.epoch : prev_epoch;
-    prev_seq = rec.seq > prev_seq ? rec.seq : prev_seq;
-    switch (rec.op.kind) {
+    switch (op.kind) {
       case store::WriteOpKind::kPostTweet:
-        if (rec.op.b < tid_floor) {
+        if (op.b < tid_floor) {
           issues.Add("delta-tid",
-                     "post_tweet assigned tid " + std::to_string(rec.op.b) +
+                     "post_tweet assigned tid " + std::to_string(op.b) +
                          " inside the bulk-loaded id space [0, " +
                          std::to_string(tid_floor) + ")");
         }
-        if (!fresh_tids.insert(rec.op.b).second) {
-          issues.Add("delta-tid", "tid " + std::to_string(rec.op.b) +
+        if (!fresh_tids.insert(op.b).second) {
+          issues.Add("delta-tid", "tid " + std::to_string(op.b) +
                                       " assigned to two post_tweet ops");
         }
         break;
       case store::WriteOpKind::kFollow:
-        live.insert({rec.op.a, rec.op.b});
-        touched[rec.op.a].insert(rec.op.b);
+        live.insert({op.a, op.b});
+        touched[op.a].insert(op.b);
         break;
       case store::WriteOpKind::kUnfollow:
         // Deletes are idempotent (an unfollow of a never-followed pair
         // is a legal no-op); only the tombstone bookkeeping is checked.
         ++unfollows;
-        live.erase({rec.op.a, rec.op.b});
-        touched[rec.op.a].insert(rec.op.b);
+        live.erase({op.a, op.b});
+        touched[op.a].insert(op.b);
         break;
       case store::WriteOpKind::kAddMention:
         break;
     }
   }
-  if (delta.tombstones() != unfollows) {
-    issues.Add("tombstone", "journal counts " + IdStr(delta.tombstones()) +
-                                " tombstone(s) but holds " +
-                                IdStr(unfollows) + " unfollow op(s)");
-  }
-  if (delta.last_seq() != prev_seq) {
-    issues.Add("delta-seq", "journal reports last_seq " +
-                                IdStr(delta.last_seq()) +
-                                " but its highest record is seq " +
-                                IdStr(prev_seq));
-  }
-  if (delta.last_epoch() != prev_epoch) {
-    issues.Add("delta-epoch", "journal reports last_epoch " +
-                                  IdStr(delta.last_epoch()) +
-                                  " but its highest record is epoch " +
-                                  IdStr(prev_epoch));
-  }
 
-  // Pass 2 — delta-over-base visibility: every journal-touched follows
-  // pair must read back exactly as the replay predicts.
+  // The writer's commit counters must summarize exactly the logged prefix.
+  const store::DeltaStore& delta = writer->delta();
+  auto expect = [&issues](const char* counter, uint64_t counted,
+                          uint64_t logged) {
+    if (counted == logged) return;
+    issues.Add("delta-counters", std::string(counter) + ": the writer counts " +
+                                     IdStr(counted) + " but the WAL holds " +
+                                     IdStr(logged));
+  };
+  expect("batches", delta.batches(), report.wal_records_checked);
+  expect("ops", delta.ops(), ops.size());
+  expect("tombstones", delta.tombstones(), unfollows);
+  expect("last_seq", delta.last_seq(), last_seq);
+
+  // Pass 3 — delta-over-base visibility: every written follows pair must
+  // read back exactly as the replay predicts.
   for (const auto& [src, dsts] : touched) {
     MBQ_ASSIGN_OR_RETURN(ValueRows rows, engine.FolloweesOf(src));
     std::set<int64_t> followees;
@@ -669,84 +705,6 @@ Result<CheckReport> CheckWritePath(MicroblogEngine& engine,
                        std::to_string(dst) + " should be " +
                        (want ? "visible" : "tombstoned") + " but the engine " +
                        (got ? "returns" : "omits") + " it");
-      }
-    }
-  }
-
-  // Pass 3 — WAL/delta agreement: decode the log independently (never
-  // truncating — a torn tail is evidence here, not something to repair)
-  // and prove its ops equal the journal's logged ops in sequence order.
-  if (!wal_path.empty()) {
-    std::ifstream in(wal_path, std::ios::binary);
-    if (!in) {
-      issues.Add("wal-record", "cannot read WAL at " + wal_path);
-    } else {
-      std::string data((std::istreambuf_iterator<char>(in)),
-                       std::istreambuf_iterator<char>());
-      std::vector<store::WriteOp> wal_ops;
-      size_t off = 0;
-      uint64_t last_seq = 0;
-      while (data.size() - off >= kWalHeaderBytes) {
-        const char* p = data.data() + off;
-        if (ReadLeU32(p) != kWalMagic) break;
-        const uint64_t seq = ReadLeU64(p + 4);
-        const uint32_t len = ReadLeU32(p + 12);
-        const uint32_t crc = ReadLeU32(p + 16);
-        if (data.size() - off - kWalHeaderBytes < len) break;  // torn
-        std::string_view payload(p + kWalHeaderBytes, len);
-        if (store::WalCrc32(payload) != crc) {
-          issues.Add("wal-record", "record at offset " + IdStr(off) +
-                                       " (seq " + IdStr(seq) +
-                                       ") fails its CRC");
-          break;
-        }
-        if (seq != last_seq + 1) {
-          issues.Add("wal-record", "sequence jumps from " + IdStr(last_seq) +
-                                       " to " + IdStr(seq) + " at offset " +
-                                       IdStr(off));
-          break;
-        }
-        Result<store::WriteBatch> batch = store::DecodeWriteBatch(payload);
-        if (!batch.ok()) {
-          issues.Add("wal-record", "record seq " + IdStr(seq) +
-                                       " does not decode: " +
-                                       batch.status().message());
-          break;
-        }
-        for (const store::WriteOp& op : batch->ops()) wal_ops.push_back(op);
-        ++report.wal_records_checked;
-        last_seq = seq;
-        off += kWalHeaderBytes + len;
-      }
-      if (off < data.size()) {
-        issues.Add("wal-tail",
-                   IdStr(data.size() - off) +
-                       " byte(s) of torn or garbage tail at offset " +
-                       IdStr(off) + " (replay-on-open would truncate them)");
-      }
-      size_t next = 0;
-      for (const store::DeltaRecord& rec : journal) {
-        if (rec.seq == 0) continue;  // committed without the WAL
-        if (next >= wal_ops.size()) {
-          issues.Add("wal-delta", "journal op at seq " + IdStr(rec.seq) +
-                                      " has no WAL record");
-          break;
-        }
-        if (!(rec.op == wal_ops[next])) {
-          issues.Add("wal-delta",
-                     "op " + IdStr(next) + " diverges: journal holds " +
-                         store::WriteOpKindName(rec.op.kind) + "(" +
-                         std::to_string(rec.op.a) + ", " +
-                         std::to_string(rec.op.b) + "), WAL holds " +
-                         store::WriteOpKindName(wal_ops[next].kind) + "(" +
-                         std::to_string(wal_ops[next].a) + ", " +
-                         std::to_string(wal_ops[next].b) + ")");
-        }
-        ++next;
-      }
-      if (next < wal_ops.size()) {
-        issues.Add("wal-delta", IdStr(wal_ops.size() - next) +
-                                    " WAL op(s) were never journaled");
       }
     }
   }

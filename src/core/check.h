@@ -17,9 +17,8 @@ namespace mbq::core {
 struct CheckIssue {
   /// Which invariant broke: "node-record", "rel-record", "rel-chain",
   /// "label-scan", "prop-index", "type-count", "adjacency", "attr-index",
-  /// or a write-path invariant: "delta-seq", "delta-epoch", "delta-tid",
-  /// "tombstone", "delta-visibility", "wal-record", "wal-tail",
-  /// "wal-delta".
+  /// or a write-path invariant: "wal-record", "wal-tail", "delta-tid",
+  /// "delta-counters", "delta-visibility".
   std::string component;
   std::string message;
 };
@@ -41,7 +40,7 @@ struct CheckReport {
   uint64_t indexes_checked = 0;
   uint64_t objects_checked = 0;
   uint64_t attrs_checked = 0;
-  uint64_t delta_ops_checked = 0;  // write-path: delta journal ops
+  uint64_t delta_ops_checked = 0;  // write-path: committed ops replayed
   uint64_t wal_records_checked = 0;  // write-path: decoded WAL records
 
   bool ok() const { return issues.empty() && suppressed == 0; }
@@ -67,25 +66,25 @@ Result<CheckReport> CheckNodestore(nodestore::GraphDb* db,
 Result<CheckReport> CheckBitmapstore(bitmapstore::Graph* graph,
                                      const CheckOptions& options = {});
 
-/// Validates the live write path of a writable engine (docs/WRITES.md):
+/// Validates the live write path of a writable engine (docs/WRITES.md)
+/// against its WAL, the one record of committed writes. The log at
+/// `wal()->path()` is decoded independently — never truncated; a torn or
+/// garbage tail is *reported*, where replay-on-open would silently repair
+/// it — and its ops must satisfy:
 ///
-///  - delta journal invariants: commit epochs and WAL sequences are
-///    non-decreasing and never zero-epoch, fresh tweet ids stay above
-///    the bulk-loaded id space and are never reassigned, and the
-///    journal's tombstone counter agrees with its unfollow ops;
-///  - delta-over-base visibility: every follows pair the journal
-///    touched reads back through the engine exactly as the journal
-///    replay predicts (followed pairs visible, tombstoned pairs gone);
-///  - WAL/delta agreement (when `wal_path` names the engine's log):
-///    the file is decoded independently — never truncated; a torn or
-///    garbage tail is *reported*, where replay-on-open would silently
-///    repair it — and its ops must equal the journal's logged ops
-///    one-for-one in sequence order.
+///  - fresh tweet ids stay above the bulk-loaded id space and are never
+///    reassigned;
+///  - the writer's commit counters (batches, ops, tombstones, last WAL
+///    sequence) equal what the log holds;
+///  - delta-over-base visibility: every follows pair the log touched
+///    reads back through the engine exactly as replaying the log over
+///    the base crawl predicts (followed pairs visible, tombstoned pairs
+///    gone).
 ///
-/// Fails with InvalidArgument when `engine` has no write surface.
+/// Fails with InvalidArgument when `engine` has no write surface or
+/// runs without a WAL.
 Result<CheckReport> CheckWritePath(MicroblogEngine& engine,
                                    const twitter::Dataset& base,
-                                   const std::string& wal_path,
                                    const CheckOptions& options = {});
 
 }  // namespace mbq::core

@@ -14,17 +14,17 @@ namespace mbq::core {
 namespace {
 
 /// Shared by the two local kinds: validates the write knobs and builds
-/// the WriteConfig EnableWrites expects.
-Result<WriteConfig> WriteConfigFrom(const EngineOptions& options) {
+/// the WAL options EnableWrites expects.
+Result<store::WalOptions> WalOptionsFrom(const EngineOptions& options) {
   if (options.dataset == nullptr) {
     return Status::InvalidArgument(
         "OpenEngine: enable_writes needs EngineOptions.dataset (the "
         "bulk-loaded base the writer extends)");
   }
-  WriteConfig config;
-  config.wal_dir = options.wal_dir;
-  config.group_commit_window_micros = options.group_commit_window_micros;
-  return config;
+  store::WalOptions wal;
+  wal.dir = options.wal_dir;
+  wal.group_commit_window_micros = options.group_commit_window_micros;
+  return wal;
 }
 
 }  // namespace
@@ -48,8 +48,8 @@ Result<std::unique_ptr<MicroblogEngine>> OpenEngine(
       session.adjacency_min_degree = options.adjacency_min_degree;
       engine->Configure(session);
       if (options.enable_writes) {
-        MBQ_ASSIGN_OR_RETURN(WriteConfig config, WriteConfigFrom(options));
-        MBQ_RETURN_IF_ERROR(engine->EnableWrites(config, *options.dataset));
+        MBQ_ASSIGN_OR_RETURN(store::WalOptions wal, WalOptionsFrom(options));
+        MBQ_RETURN_IF_ERROR(engine->EnableWrites(wal, *options.dataset));
       }
       return std::unique_ptr<MicroblogEngine>(std::move(engine));
     }
@@ -66,8 +66,8 @@ Result<std::unique_ptr<MicroblogEngine>> OpenEngine(
                                      options.adjacency_min_degree);
       }
       if (options.enable_writes) {
-        MBQ_ASSIGN_OR_RETURN(WriteConfig config, WriteConfigFrom(options));
-        MBQ_RETURN_IF_ERROR(engine->EnableWrites(config, *options.dataset));
+        MBQ_ASSIGN_OR_RETURN(store::WalOptions wal, WalOptionsFrom(options));
+        MBQ_RETURN_IF_ERROR(engine->EnableWrites(wal, *options.dataset));
       }
       return std::unique_ptr<MicroblogEngine>(std::move(engine));
     }

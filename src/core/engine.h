@@ -44,9 +44,9 @@ using ValueRows = std::vector<ValueRow>;
 /// via MicroblogEngine::AsWritable(). The Table 2 surface stays read-only;
 /// engines opened with EngineOptions.enable_writes additionally expose
 /// this extension, which funnels every mutation (a typed single op or a
-/// packed group) through one WriteBatch commit path: WAL staging, the
-/// exclusive snapshot section, base-store apply, delta journaling (see
-/// docs/WRITES.md).
+/// packed group) through one WriteBatch commit path: the exclusive
+/// snapshot section, base-store apply, WAL staging, the commit counters
+/// (see docs/WRITES.md).
 class WritableEngine {
  public:
   virtual ~WritableEngine() = default;
@@ -70,7 +70,8 @@ class WritableEngine {
   /// Snapshot coordination: reads open shared snapshots here, commits
   /// run exclusive (store/delta/snapshot.h).
   virtual store::SnapshotRegistry& snapshots() = 0;
-  /// The append-only journal of committed ops (introspection, checkdb).
+  /// Counters over the committed batches (introspection, checkdb); the
+  /// WAL is the record of the ops themselves.
   virtual const store::DeltaStore& delta() const = 0;
   /// The engine's write-ahead log; null when opened without wal_dir.
   virtual const store::Wal* wal() const = 0;

@@ -159,18 +159,14 @@ Result<int64_t> NodestoreEngine::ShortestPathLength(int64_t uid_a,
   return rows[0][0].AsInt();
 }
 
-Status NodestoreEngine::EnableWrites(const WriteConfig& config,
+Status NodestoreEngine::EnableWrites(const store::WalOptions& wal,
                                      const twitter::Dataset& base) {
   MBQ_ASSIGN_OR_RETURN(twitter::NodestoreHandles handles,
                        twitter::ResolveNodestoreHandles(db_));
   applier_ = std::make_unique<NodestoreUpdateApplier>(db_, handles, base);
-  WriteConfig seeded = config;
-  if (seeded.first_fresh_tid == 0) {
-    seeded.first_fresh_tid = static_cast<int64_t>(base.tweets.size());
-  }
   MBQ_ASSIGN_OR_RETURN(
       writer_,
-      EngineWriter::Open(seeded, &db_->mutable_epochs(),
+      EngineWriter::Open(wal, static_cast<int64_t>(base.tweets.size()),
                          [this](const std::vector<twitter::StreamEvent>& ev) {
                            return applier_->ApplyBatch(ev);
                          }));

@@ -60,11 +60,12 @@ class NodestoreEngine : public MicroblogEngine {
 
   /// Turns the live write path on: resolves the schema handles, builds
   /// the update applier and the EngineWriter (replaying the WAL when
-  /// `config.wal_dir` points at an existing log), and routes the Cypher
+  /// `wal.dir` points at an existing log), and routes the Cypher
   /// session's reads/writes through the snapshot registry. `base` is the
   /// bulk-loaded dataset the writer extends (borrowed; only id-space
   /// sizes are read, at open).
-  Status EnableWrites(const WriteConfig& config, const twitter::Dataset& base);
+  Status EnableWrites(const store::WalOptions& wal,
+                      const twitter::Dataset& base);
 
   WritableEngine* AsWritable() override { return writer_.get(); }
 

@@ -100,17 +100,13 @@ std::vector<twitter::StreamEvent> EngineWriter::ToEvents(
 }
 
 Result<std::unique_ptr<EngineWriter>> EngineWriter::Open(
-    const WriteConfig& config, cache::EpochRegistry* epochs, ApplyFn apply) {
+    const store::WalOptions& wal, int64_t tid_floor, ApplyFn apply) {
   std::unique_ptr<EngineWriter> writer(
-      new EngineWriter(epochs, std::move(apply), config.first_fresh_tid));
-  if (config.wal_dir.empty()) return writer;
+      new EngineWriter(std::move(apply), tid_floor));
+  if (wal.dir.empty()) return writer;
 
-  store::WalOptions wal_options;
-  wal_options.dir = config.wal_dir;
-  wal_options.group_commit_window_micros = config.group_commit_window_micros;
   store::WalRecovery recovery;
-  MBQ_ASSIGN_OR_RETURN(writer->wal_,
-                       store::Wal::Open(wal_options, &recovery));
+  MBQ_ASSIGN_OR_RETURN(writer->wal_, store::Wal::Open(wal, &recovery));
 
   // Replay: re-apply every recovered batch under the same commit protocol
   // (minus re-logging — the records are already on disk), so after open
@@ -120,7 +116,7 @@ Result<std::unique_ptr<EngineWriter>> EngineWriter::Open(
     ++seq;
     auto guard = writer->snapshots_.BeginCommit();
     MBQ_RETURN_IF_ERROR(writer->apply_(ToEvents(batch)));
-    writer->delta_.Append(batch, guard.epoch(), seq);
+    writer->delta_.Count(batch, seq);
     for (const store::WriteOp& op : batch.ops()) {
       if (op.kind == store::WriteOpKind::kPostTweet &&
           op.b >= writer->next_tid_.load(std::memory_order_relaxed)) {
@@ -128,7 +124,6 @@ Result<std::unique_ptr<EngineWriter>> EngineWriter::Open(
       }
     }
   }
-  writer->replayed_batches_ = recovery.records;
   WriteMetrics::Get().replayed_batches->Inc(recovery.records);
   return writer;
 }
@@ -151,7 +146,7 @@ Status EngineWriter::Commit(store::WriteBatch batch) {
     auto guard = snapshots_.BeginCommit();
     Status applied = apply_(events);
     if (!applied.ok()) {
-      // Not logged, not journaled: replay will never see this batch.
+      // Not logged, not counted: replay will never see this batch.
       // The nodestore applier rolls its transaction back; the bitmap
       // store applies in place, Sparksee-style, so a mid-batch failure
       // there can leave a prefix applied (documented in docs/WRITES.md).
@@ -166,7 +161,7 @@ Status EngineWriter::Commit(store::WriteBatch batch) {
       }
       seq = *staged;
     }
-    delta_.Append(batch, guard.epoch(), seq);
+    delta_.Count(batch, seq);
   }
   // The batch is visible; durability can batch across committers.
   if (wal_ != nullptr) {

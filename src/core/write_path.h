@@ -5,7 +5,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "core/engine.h"
@@ -16,21 +15,7 @@
 #include "twitter/stream.h"
 #include "util/result.h"
 
-namespace mbq::cache {
-class EpochRegistry;
-}  // namespace mbq::cache
-
 namespace mbq::core {
-
-/// Write-path knobs, mirrored from EngineOptions by OpenEngine.
-struct WriteConfig {
-  /// WAL directory; empty runs without a log (no crash durability).
-  std::string wal_dir;
-  uint32_t group_commit_window_micros = 0;
-  /// First tweet id PostTweet may assign — one past the bulk-loaded
-  /// dataset (WAL replay pushes it further past any replayed tid).
-  int64_t first_fresh_tid = 0;
-};
 
 /// The one WritableEngine implementation, shared by both backends: each
 /// engine supplies an `ApplyFn` that folds a batch's events into its
@@ -38,13 +23,13 @@ struct WriteConfig {
 ///
 ///   assign fresh tweet ids
 ///   -> exclusive snapshot section (readers drain, none can start)
-///        apply to base store   (epoch bumps invalidate PR 3 caches)
+///        apply to base store   (epoch bumps invalidate the read caches)
 ///        stage the WAL record  (WAL order == apply order)
-///        journal into the delta store at the new commit epoch
-///   -> section ends (commit epoch publishes)
+///        count it in the commit counters
+///   -> section ends (the batch is visible)
 ///   -> group-commit fsync (batched across concurrent committers)
 ///
-/// Apply failures surface before anything is logged or journaled: a
+/// Apply failures surface before anything is logged or counted: a
 /// batch that did not apply is not in the WAL, so replay-on-open only
 /// ever re-applies batches that succeeded.
 class EngineWriter : public WritableEngine {
@@ -52,12 +37,13 @@ class EngineWriter : public WritableEngine {
   using ApplyFn =
       std::function<Status(const std::vector<twitter::StreamEvent>&)>;
 
-  /// Opens the writer: opens/replays the WAL (when configured), re-applies
-  /// every recovered batch through `apply`, and seeds tweet id allocation
-  /// past both the dataset and the replayed tail. `epochs` is the
-  /// engine's per-domain registry (borrowed, may be null).
+  /// Opens the writer: opens/replays the WAL in `wal.dir` (an empty dir
+  /// runs without a log: no crash durability), re-applies every recovered
+  /// batch through `apply`, and seeds tweet id allocation at `tid_floor` —
+  /// one past the bulk-loaded dataset — or past the replayed tail,
+  /// whichever is higher.
   static Result<std::unique_ptr<EngineWriter>> Open(
-      const WriteConfig& config, cache::EpochRegistry* epochs, ApplyFn apply);
+      const store::WalOptions& wal, int64_t tid_floor, ApplyFn apply);
 
   Status Commit(store::WriteBatch batch) override;
 
@@ -67,14 +53,10 @@ class EngineWriter : public WritableEngine {
   int64_t next_tid() const override {
     return next_tid_.load(std::memory_order_relaxed);
   }
-  /// Batches recovered by WAL replay at open.
-  uint64_t replayed_batches() const { return replayed_batches_; }
 
  private:
-  EngineWriter(cache::EpochRegistry* epochs, ApplyFn apply,
-               int64_t first_fresh_tid)
-      : snapshots_(epochs), apply_(std::move(apply)),
-        next_tid_(first_fresh_tid) {}
+  EngineWriter(ApplyFn apply, int64_t tid_floor)
+      : apply_(std::move(apply)), next_tid_(tid_floor) {}
 
   /// Lowers batch ops onto the existing update-stream appliers.
   static std::vector<twitter::StreamEvent> ToEvents(
@@ -85,7 +67,6 @@ class EngineWriter : public WritableEngine {
   std::unique_ptr<store::Wal> wal_;
   ApplyFn apply_;
   std::atomic<int64_t> next_tid_;
-  uint64_t replayed_batches_ = 0;
 };
 
 }  // namespace mbq::core

@@ -211,9 +211,6 @@ class GraphDb {
   /// cache::RelTypeDomain); result and adjacency caches stamp entries
   /// against this registry and drop them lazily on mismatch.
   const cache::EpochRegistry& epochs() const { return epochs_; }
-  /// Mutable registry for embedders that bump domains of their own (the
-  /// live write path publishes cache::kCommitEpochDomain per commit).
-  cache::EpochRegistry& mutable_epochs() { return epochs_; }
 
   storage::BufferCacheStats cache_stats() const;
   storage::DiskStats disk_stats() const;

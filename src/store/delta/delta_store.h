@@ -1,97 +1,54 @@
 #ifndef MBQ_STORE_DELTA_DELTA_STORE_H_
 #define MBQ_STORE_DELTA_DELTA_STORE_H_
 
+#include <atomic>
 #include <cstdint>
-#include <functional>
-#include <vector>
 
 #include "store/delta/write_batch.h"
-#include "util/lock_rank.h"
-#include "util/thread_annotations.h"
 
 namespace mbq::store {
 
-/// One committed op in the delta journal, stamped with the commit epoch
-/// it became visible at (see SnapshotRegistry) and the WAL sequence of
-/// its batch (0 when the engine runs without a WAL).
-struct DeltaRecord {
-  uint64_t seq = 0;    ///< WAL sequence of the containing batch
-  uint64_t epoch = 0;  ///< commit epoch that published the op
-  WriteOp op;
-};
-
-/// The log-structured in-memory half of the live write path, in the
-/// spirit of ZipG's GraphLogStore: an append-only journal of every op
-/// committed over the immutable bulk-loaded base. Because this repo's
-/// commit path applies ops to the base store *at* commit (merge-on-
-/// commit, under the SnapshotRegistry's exclusive section), readers
-/// never consult the journal — it exists for introspection and for
-/// `checkdb`, which replays it against the base store to prove that
-/// delta and base agree (tombstone sanity, WAL/delta agreement).
+/// The writer's per-engine commit counters. The WAL is the one record of
+/// committed writes: the commit path applies ops to the base store *at*
+/// commit (merge-on-commit, under the SnapshotRegistry's exclusive
+/// section), so no read needs a second copy of them. This class only
+/// summarizes the committed prefix — for `:writes`, for `checkdb`, which
+/// checks it against an independent decode of the WAL, and for tests.
 ///
-/// Internally locked: appends take the mutex, accessors copy out under
-/// it, so checkdb and the stats plane can observe a live engine safely.
+/// Written only inside the exclusive commit section (one writer at a
+/// time); relaxed atomics let the stats plane and checkdb read a live
+/// engine without taking the snapshot lock.
 class DeltaStore {
  public:
-  /// Journals every op of `batch` at `epoch` / WAL sequence `seq`.
-  void Append(const WriteBatch& batch, uint64_t epoch, uint64_t seq) {
-    util::ScopedLock lock(mu_);
+  /// Counts `batch` as committed at WAL sequence `seq` (0 when the engine
+  /// runs without a WAL).
+  void Count(const WriteBatch& batch, uint64_t seq) {
+    uint64_t unfollows = 0;
     for (const WriteOp& op : batch.ops()) {
-      records_.push_back({seq, epoch, op});
-      if (op.kind == WriteOpKind::kUnfollow) ++tombstones_;
+      if (op.kind == WriteOpKind::kUnfollow) ++unfollows;
     }
-    ++batches_;
-    if (epoch > last_epoch_) last_epoch_ = epoch;
-    if (seq > last_seq_) last_seq_ = seq;
+    batches_.fetch_add(1, std::memory_order_relaxed);
+    ops_.fetch_add(batch.size(), std::memory_order_relaxed);
+    tombstones_.fetch_add(unfollows, std::memory_order_relaxed);
+    if (seq > last_seq()) last_seq_.store(seq, std::memory_order_relaxed);
   }
 
-  uint64_t ops() const {
-    util::ScopedLock lock(mu_);
-    return records_.size();
-  }
-  uint64_t batches() const {
-    util::ScopedLock lock(mu_);
-    return batches_;
-  }
-  /// Unfollow ops journaled — each one a tombstone over a base or delta
+  uint64_t batches() const { return batches_.load(std::memory_order_relaxed); }
+  uint64_t ops() const { return ops_.load(std::memory_order_relaxed); }
+  /// Unfollow ops committed — each one a tombstone over a base or live
   /// follow edge.
   uint64_t tombstones() const {
-    util::ScopedLock lock(mu_);
-    return tombstones_;
-  }
-  uint64_t last_epoch() const {
-    util::ScopedLock lock(mu_);
-    return last_epoch_;
+    return tombstones_.load(std::memory_order_relaxed);
   }
   uint64_t last_seq() const {
-    util::ScopedLock lock(mu_);
-    return last_seq_;
-  }
-
-  /// A consistent copy of the journal (checkdb, tests, :writes).
-  std::vector<DeltaRecord> SnapshotRecords() const {
-    util::ScopedLock lock(mu_);
-    return records_;
-  }
-
-  /// Visits every record under the lock; keep `fn` cheap — it runs with
-  /// the kStore-ranked journal mutex held, so it may lock downward (the
-  /// buffer cache, the disk) but never a snapshot/WAL/session lock.
-  void ForEach(const std::function<void(const DeltaRecord&)>& fn) const {
-    util::ScopedLock lock(mu_);
-    for (const DeltaRecord& r : records_) fn(r);
+    return last_seq_.load(std::memory_order_relaxed);
   }
 
  private:
-  /// LockRank::kStore: appended to inside the exclusive commit section
-  /// (below kSnapshot and the kWal staging lock), walked by checkdb while
-  /// it reads base-store pages (above kBufferCache/kDisk).
-  mutable util::RankedMutex mu_{util::LockRank::kStore, "store.delta.journal"};
-  std::vector<DeltaRecord> records_ MBQ_GUARDED_BY(mu_);
-  uint64_t batches_ MBQ_GUARDED_BY(mu_) = 0;
-  uint64_t tombstones_ MBQ_GUARDED_BY(mu_) = 0;
-  uint64_t last_epoch_ MBQ_GUARDED_BY(mu_) = 0;
-  uint64_t last_seq_ MBQ_GUARDED_BY(mu_) = 0;
+  std::atomic<uint64_t> batches_{0};
+  std::atomic<uint64_t> ops_{0};
+  std::atomic<uint64_t> tombstones_{0};
+  std::atomic<uint64_t> last_seq_{0};
 };
 
 }  // namespace mbq::store

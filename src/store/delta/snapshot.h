@@ -1,135 +1,43 @@
 #ifndef MBQ_STORE_DELTA_SNAPSHOT_H_
 #define MBQ_STORE_DELTA_SNAPSHOT_H_
 
-#include <atomic>
-#include <cstdint>
 #include <mutex>
 #include <shared_mutex>
 
-#include "cache/epoch.h"
 #include "util/lock_rank.h"
-#include "util/thread_annotations.h"
 
 namespace mbq::store {
 
-/// Commit-epoch snapshot coordination for the live write path,
-/// generalizing `cache::EpochRegistry`: the epoch registry answers "has
-/// anything in my footprint changed?" for cached entries, while this
-/// registry additionally guarantees *atomic visibility* — a reader that
-/// opens a snapshot observes every committed batch entirely or not at
-/// all, never a half-applied one.
+/// Atomic visibility for the live write path: a reader that opens a
+/// snapshot observes every committed batch entirely or not at all, never
+/// a half-applied one.
 ///
 /// The model stays the repo's single-writer / concurrent-readers
 /// discipline, enforced rather than assumed: commits hold the registry
 /// exclusively while they apply a batch to the base store, reads hold it
-/// shared. The commit epoch advances exactly once per committed batch
-/// (release store), so a snapshot's `epoch()` names the precise prefix
-/// of the delta journal it can observe. Per-domain cache invalidation is
-/// unchanged — base-store mutations keep bumping the engine's
-/// `EpochRegistry` under the exclusive section, so PR 3 caches
-/// invalidate correctly under churn.
+/// shared. Cache invalidation needs nothing from here — base-store
+/// mutations bump the engine's per-domain `cache::EpochRegistry` under
+/// the exclusive section, so read caches invalidate correctly under churn.
 class SnapshotRegistry {
  public:
-  /// `epochs` is the engine's per-domain registry (borrowed, may be
-  /// null); commits bump its global epoch as a conservative extra signal
-  /// for cache layers that only watch the global counter.
-  explicit SnapshotRegistry(cache::EpochRegistry* epochs = nullptr)
-      : epochs_(epochs) {}
-
-  SnapshotRegistry(const SnapshotRegistry&) = delete;
-  SnapshotRegistry& operator=(const SnapshotRegistry&) = delete;
-
-  /// A shared-lock read view. While alive, no commit can apply, so every
-  /// base-store read made under it sees the state as of `epoch()`.
+  /// A shared-lock read view: while alive, no commit can apply.
   /// Default-constructed snapshots guard nothing (read-only engines).
-  class ReadSnapshot {
-   public:
-    ReadSnapshot() = default;
-    ReadSnapshot(ReadSnapshot&&) = default;
-    ReadSnapshot& operator=(ReadSnapshot&&) = default;
+  using ReadSnapshot = std::shared_lock<util::RankedSharedMutex>;
+  /// An exclusive commit section; readers drain and none can start.
+  using CommitGuard = std::unique_lock<util::RankedSharedMutex>;
 
-    /// Number of batches committed before this snapshot opened.
-    uint64_t epoch() const { return epoch_; }
-    bool guarded() const { return lock_.owns_lock(); }
-
-   private:
-    friend class SnapshotRegistry;
-    ReadSnapshot(std::shared_lock<util::RankedSharedMutex> lock, uint64_t epoch)
-        : lock_(std::move(lock)), epoch_(epoch) {}
-
-    std::shared_lock<util::RankedSharedMutex> lock_;
-    uint64_t epoch_ = 0;
-  };
-
-  /// An exclusive commit section. `epoch()` is the epoch the commit will
-  /// publish; the destructor publishes it (release) and then unlocks, so
-  /// the next snapshot opened observes the full batch.
-  class CommitGuard {
-   public:
-    /// Moves transfer publication duty: the moved-from guard must not
-    /// publish the epoch a second time when it destructs.
-    CommitGuard(CommitGuard&& other) noexcept
-        : registry_(other.registry_),
-          lock_(std::move(other.lock_)),
-          epoch_(other.epoch_) {
-      other.registry_ = nullptr;
-    }
-    CommitGuard& operator=(CommitGuard&&) = delete;
-
-    uint64_t epoch() const { return epoch_; }
-
-    ~CommitGuard() {
-      if (registry_ == nullptr) return;
-      registry_->committed_.store(epoch_, std::memory_order_release);
-      if (registry_->epochs_ != nullptr) {
-        // Redundant with the per-mutation bumps the base store already
-        // performs, but keeps "one bump per commit" true even for
-        // batches whose ops were all no-ops (e.g. raced unfollows).
-        registry_->epochs_->Bump(cache::kCommitEpochDomain);
-      }
-    }
-
-   private:
-    friend class SnapshotRegistry;
-    CommitGuard(SnapshotRegistry* registry,
-                std::unique_lock<util::RankedSharedMutex> lock, uint64_t epoch)
-        : registry_(registry), lock_(std::move(lock)), epoch_(epoch) {}
-
-    SnapshotRegistry* registry_;
-    std::unique_lock<util::RankedSharedMutex> lock_;
-    uint64_t epoch_ = 0;
-  };
-
-  ReadSnapshot OpenSnapshot() {
-    std::shared_lock<util::RankedSharedMutex> lock(mu_);
-    return ReadSnapshot(std::move(lock),
-                        committed_.load(std::memory_order_acquire));
-  }
-
-  CommitGuard BeginCommit() {
-    std::unique_lock<util::RankedSharedMutex> lock(mu_);
-    return CommitGuard(this, std::move(lock),
-                       committed_.load(std::memory_order_relaxed) + 1);
-  }
-
-  /// Batches committed so far (acquire; pairs with the guard's release).
-  uint64_t CommittedEpoch() const {
-    return committed_.load(std::memory_order_acquire);
-  }
+  ReadSnapshot OpenSnapshot() { return ReadSnapshot(mu_); }
+  CommitGuard BeginCommit() { return CommitGuard(mu_); }
 
  private:
   /// LockRank::kSnapshot: the widest engine lock — a commit holds it
-  /// exclusively while applying to the base store (kStore, kBufferCache,
-  /// kDisk), staging the WAL record (kWal) and creating metrics (kObs),
-  /// so it ranks above that whole tier; only session/rpc sit higher.
-  /// Holds are tracked through the std lock adapters, which stay movable
-  /// (ReadSnapshot/CommitGuard transfer ownership by move), so there are
-  /// no GUARDED_BY fields here — visibility is the committed_ atomic's
-  /// release/acquire pair, documented on each member.
+  /// exclusively while applying to the base store (kBufferCache, kDisk),
+  /// staging the WAL record (kWal) and creating metrics (kObs), so it
+  /// ranks above that whole tier; only session/rpc sit higher.
+  /// Holds are tracked through the std lock adapters, which stay movable,
+  /// so there are no GUARDED_BY fields here.
   util::RankedSharedMutex mu_{util::LockRank::kSnapshot,
                               "store.delta.snapshot"};
-  std::atomic<uint64_t> committed_{0};
-  cache::EpochRegistry* epochs_;
 };
 
 }  // namespace mbq::store

@@ -279,11 +279,6 @@ Status Wal::WaitDurable(uint64_t seq) {
   return io_status_;
 }
 
-Status Wal::Append(const WriteBatch& batch) {
-  MBQ_ASSIGN_OR_RETURN(uint64_t seq, Stage(batch));
-  return WaitDurable(seq);
-}
-
 uint64_t Wal::records() const {
   util::ScopedLock lock(mu_);
   return records_;

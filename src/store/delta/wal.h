@@ -67,9 +67,6 @@ class Wal {
   /// Blocks until every record up to `seq` is on disk.
   Status WaitDurable(uint64_t seq);
 
-  /// Stage + WaitDurable, for single-op callers.
-  Status Append(const WriteBatch& batch);
-
   const std::string& path() const { return path_; }
   uint64_t records() const;
   uint64_t bytes() const;

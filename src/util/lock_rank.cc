@@ -21,7 +21,7 @@ std::atomic<uint64_t> g_checks{0};
 std::atomic<uint64_t> g_violations{0};
 
 /// Per-thread stack of held ranked locks. Fixed-size: the hierarchy has
-/// 12 ranks and strict descent bounds real depth at 12; a deeper stack
+/// 11 ranks and strict descent bounds real depth at 11; a deeper stack
 /// means a violation already fired in count-only mode, so overflow just
 /// stops recording.
 struct Held {
@@ -50,8 +50,6 @@ const char* LockRankName(LockRank rank) {
       return "kCache";
     case LockRank::kObs:
       return "kObs";
-    case LockRank::kStore:
-      return "kStore";
     case LockRank::kWal:
       return "kWal";
     case LockRank::kSnapshot:

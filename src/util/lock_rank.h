@@ -20,8 +20,8 @@ namespace mbq::util {
 /// acquisition and names both sites.
 ///
 /// Derived from the real nesting chains, innermost first:
-///   ring < driver < pool < disk < buffer cache < cache < obs < store
-///        < wal < snapshot < session < rpc
+///   ring < driver < pool < disk < buffer cache < cache < obs < wal
+///        < snapshot < session < rpc
 ///
 /// Two orderings deserve a note. The obs registry ranks ABOVE the
 /// storage tier because a metrics scrape holds the registry mutex while
@@ -52,14 +52,11 @@ enum class LockRank : int {
   /// MetricsRegistry: Snapshot() holds it while providers walk the
   /// storage/driver tiers below.
   kObs = 60,
-  /// DeltaStore journal: journaled inside the commit section; checkdb
-  /// walks base-store state (buffer cache, disk) under it.
-  kStore = 65,
   /// Delta WAL staging/group-commit: staged inside the commit section,
   /// hence below kSnapshot; may create obs metrics on first use.
   kWal = 70,
   /// SnapshotRegistry commit/read sections: a commit applies to the base
-  /// store, stages the WAL and journals the delta while holding it.
+  /// store and stages the WAL while holding it.
   kSnapshot = 80,
   /// Cypher session state (plan cache, lint level): held across
   /// parse/plan, which may read the store catalogue.

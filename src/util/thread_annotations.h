@@ -11,7 +11,7 @@
 // The annotated mutex types live in util/lock_rank.h (RankedMutex,
 // RankedSharedMutex and their guards); annotate data with:
 //
-//   util::RankedMutex mu_{util::LockRank::kStore, "mystore.mu"};
+//   util::RankedMutex mu_{util::LockRank::kCache, "mycache.mu"};
 //   std::vector<Row> rows_ MBQ_GUARDED_BY(mu_);
 //   void CompactLocked() MBQ_REQUIRES(mu_);
 //

@@ -57,7 +57,7 @@ TEST_F(LockRankTest, ReleaseOrderNeedNotBeLifo) {
   // unique_lock-style guards may release out of stack order; the held
   // set must still drain to empty.
   RankedMutex outer(LockRank::kSnapshot, "test.outer");
-  RankedMutex inner(LockRank::kStore, "test.inner");
+  RankedMutex inner(LockRank::kWal, "test.inner");
   RankedLock a(outer);
   RankedLock b(inner);
   a.unlock();

@@ -2,6 +2,7 @@
 
 #include <unistd.h>
 
+#include <array>
 #include <atomic>
 #include <filesystem>
 #include <fstream>
@@ -90,6 +91,12 @@ std::unique_ptr<WritableFixture> OpenWritable(
   EXPECT_TRUE(engine.ok()) << engine.status().ToString();
   fx->engine = std::move(*engine);
   return fx;
+}
+
+/// The writer's commit counters: ops, batches, tombstones, last WAL seq.
+std::array<uint64_t, 4> CommitCounters(const WritableEngine& w) {
+  const store::DeltaStore& delta = w.delta();
+  return {delta.ops(), delta.batches(), delta.tombstones(), delta.last_seq()};
 }
 
 bool RowsContainInt(const ValueRows& rows, int64_t v) {
@@ -182,7 +189,7 @@ TEST_P(WriteVisibilityTest, CommittedWritesAreImmediatelyVisible) {
   ASSERT_TRUE(gone.ok());
   EXPECT_FALSE(RowsContainInt(*gone, dst));
 
-  // The journal logged every committed op.
+  // The commit counters saw every committed op.
   EXPECT_EQ(w->delta().ops(), 4u);
   EXPECT_EQ(w->delta().tombstones(), 1u);
 }
@@ -204,7 +211,7 @@ TEST_P(WriteVisibilityTest, PackedBatchCommitsAsOneUnit) {
   EXPECT_EQ(w->delta().batches(), 1u);
   EXPECT_EQ(w->delta().ops(), 3u);
 
-  // Empty batches are a no-op, not an error and not a journal entry.
+  // Empty batches are a no-op, not an error and not a counted batch.
   ASSERT_TRUE(w->Commit(store::WriteBatch()).ok());
   EXPECT_EQ(w->delta().batches(), 1u);
 
@@ -305,7 +312,7 @@ TEST_P(WriteAgreementTest, InterleavedStreamAgrees) {
     ASSERT_EQ(*a, *b) << "diverged on " << CallSpecToString(spec);
     if (HasFailure()) return;
   }
-  // Identical streams leave identical journals.
+  // Identical streams leave identical commit counters.
   EXPECT_EQ(ns->writer()->delta().ops(), bm->writer()->delta().ops());
   EXPECT_EQ(ns->writer()->delta().tombstones(),
             bm->writer()->delta().tombstones());
@@ -427,6 +434,7 @@ TEST_F(WalReplayTest, ReplayAfterCrashRestoresIdenticalResults) {
   Dataset dataset = SmallDataset(55);
   const int64_t users = static_cast<int64_t>(dataset.users.size());
   std::vector<CallOutcome> committed;
+  std::array<uint64_t, 4> counters{};
   {
     auto fx = OpenWritable(EngineKind::kNodestore, dataset, wal_dir());
     ASSERT_NE(fx->writer(), nullptr);
@@ -444,6 +452,7 @@ TEST_F(WalReplayTest, ReplayAfterCrashRestoresIdenticalResults) {
                               users - 1)
                     .ok());
     committed = ReadDigests(*fx->engine, users);
+    counters = CommitCounters(*w);
     // Engine destroyed without any shutdown ceremony: the crash.
   }
   ASSERT_TRUE(std::filesystem::exists(wal_file()));
@@ -452,6 +461,9 @@ TEST_F(WalReplayTest, ReplayAfterCrashRestoresIdenticalResults) {
   auto fx = OpenWritable(EngineKind::kNodestore, dataset, wal_dir());
   ASSERT_NE(fx->writer(), nullptr);
   EXPECT_GT(fx->writer()->delta().batches(), 0u);
+  // Replay recounts the log: ops, batches, tombstones and last_seq all
+  // match the pre-crash writer.
+  EXPECT_EQ(CommitCounters(*fx->writer()), counters);
   std::vector<CallOutcome> replayed = ReadDigests(*fx->engine, users);
   ASSERT_EQ(committed.size(), replayed.size());
   for (size_t i = 0; i < committed.size(); ++i) {
@@ -542,8 +554,9 @@ TEST_F(WalReplayTest, BitmapEngineReplaysTheSameLog) {
 // ----------------------------------------------------- cache coherence
 
 /// Read caches primed before a commit must not serve stale rows after
-/// it: commits bump the shared epoch domain every cached entry is
-/// stamped with (cache/epoch.h).
+/// it: the base-store mutations a commit applies bump the per-domain
+/// epochs every cached entry is stamped with (cache/epoch.h); the commit
+/// itself adds no bump of its own.
 class WriteCacheTest : public ::testing::TestWithParam<EngineKind> {};
 
 TEST_P(WriteCacheTest, CachesInvalidateUnderChurn) {
@@ -634,22 +647,24 @@ TEST(CypherWriteTest, WriteQueryReportsSummaryRow) {
 
 // --------------------------------------------------------- write fsck
 
-TEST(WriteCheckTest, CleanChurnPassesAndReadOnlyIsRefused) {
+class WriteCheckTest : public ::testing::TestWithParam<EngineKind> {};
+
+TEST_P(WriteCheckTest, CleanChurnPassesAndReadOnlyIsRefused) {
   std::filesystem::path dir =
       std::filesystem::temp_directory_path() /
-      ("mbq_wcheck_" + std::to_string(::getpid()));
+      ("mbq_wcheck_" + std::to_string(::getpid()) + "_" +
+       std::to_string(static_cast<int>(GetParam())));
   std::filesystem::create_directories(dir);
   Dataset dataset = SmallDataset(133);
   const int64_t users = static_cast<int64_t>(dataset.users.size());
-  auto fx = OpenWritable(EngineKind::kNodestore, dataset, dir.string());
+  auto fx = OpenWritable(GetParam(), dataset, dir.string());
   ASSERT_NE(fx->writer(), nullptr);
   for (int i = 0; i < 12; ++i) {
     ASSERT_TRUE(fx->writer()->Follow(i, (i + 3) % users).ok());
   }
   ASSERT_TRUE(fx->writer()->Unfollow(0, 3).ok());
 
-  std::string wal_path = (dir / "delta.wal").string();
-  auto report = CheckWritePath(*fx->engine, dataset, wal_path);
+  auto report = CheckWritePath(*fx->engine, dataset);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_TRUE(report->ok()) << report->ToText();
   EXPECT_EQ(report->delta_ops_checked, 13u);
@@ -658,10 +673,11 @@ TEST(WriteCheckTest, CleanChurnPassesAndReadOnlyIsRefused) {
   // A garbage tail is an invariant violation here — checkdb reports what
   // replay-on-open would silently repair.
   {
-    std::ofstream tail(wal_path, std::ios::binary | std::ios::app);
+    std::ofstream tail(fx->writer()->wal()->path(),
+                       std::ios::binary | std::ios::app);
     tail << "not a wal record";
   }
-  report = CheckWritePath(*fx->engine, dataset, wal_path);
+  report = CheckWritePath(*fx->engine, dataset);
   ASSERT_TRUE(report.ok());
   EXPECT_FALSE(report->ok());
   bool found_tail = false;
@@ -670,21 +686,27 @@ TEST(WriteCheckTest, CleanChurnPassesAndReadOnlyIsRefused) {
   }
   EXPECT_TRUE(found_tail) << report->ToText();
 
-  // Read-only engines have no write path to check.
-  nodestore::GraphDbOptions ndb;
-  ndb.disk_profile = storage::DiskProfile::Instant();
-  ndb.wal_enabled = false;
-  nodestore::GraphDb db(ndb);
-  ASSERT_TRUE(twitter::LoadIntoNodestore(dataset, &db).ok());
-  EngineOptions ro;
-  ro.db = &db;
-  auto engine = OpenEngine(EngineKind::kNodestore, ro);
-  ASSERT_TRUE(engine.ok());
-  auto refused = CheckWritePath(**engine, dataset, wal_path);
-  ASSERT_FALSE(refused.ok());
-  EXPECT_TRUE(refused.status().IsInvalidArgument());
+  // Read-only engines have no write path to check, and a writable engine
+  // without a WAL has no record of its writes to check against.
+  auto ro = OpenWritable(GetParam(), dataset, std::string(),
+                         [](EngineOptions* options) {
+                           options->enable_writes = false;
+                         });
+  ASSERT_EQ(ro->writer(), nullptr);
+  auto no_wal = OpenWritable(GetParam(), dataset);
+  ASSERT_NE(no_wal->writer(), nullptr);
+  for (MicroblogEngine* engine : {ro->engine.get(), no_wal->engine.get()}) {
+    auto refused = CheckWritePath(*engine, dataset);
+    ASSERT_FALSE(refused.ok());
+    EXPECT_TRUE(refused.status().IsInvalidArgument())
+        << refused.status().ToString();
+  }
   std::filesystem::remove_all(dir);
 }
+
+INSTANTIATE_TEST_SUITE_P(Engines, WriteCheckTest,
+                         ::testing::Values(EngineKind::kNodestore,
+                                           EngineKind::kBitmap));
 
 // ------------------------------------------------------- cluster plane
 

@@ -9,10 +9,10 @@
 //
 // A third section exercises the live write path (docs/WRITES.md): it
 // opens a writable engine over the same crawl, drives a scripted churn
-// of follows/unfollows/posts/mentions through the WAL, then validates
-// delta-over-base consistency — tombstone sanity, journal monotonicity,
-// read-back visibility of every touched pair — and decodes the WAL
-// independently to prove WAL/delta agreement.
+// of follows/unfollows/posts/mentions through the WAL, then decodes the
+// WAL independently — the one record of committed writes — and checks the
+// writer against it: fresh-tid sanity, commit counters equal to what the
+// log holds, and read-back visibility of every touched pair.
 //
 //   ./checkdb [options]
 //     --engine=nodestore|bitmapstore|both   engines to check (both)
@@ -37,6 +37,7 @@
 
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <string>
 
@@ -44,6 +45,7 @@
 #include "core/engine.h"
 #include "obs/httpd.h"
 #include "obs/metrics.h"
+#include "store/delta/wal.h"
 #include "store/delta/write_batch.h"
 #include "twitter/dataset.h"
 #include "twitter/loaders.h"
@@ -295,11 +297,7 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "cannot create a WAL scratch directory\n");
       return 2;
     }
-    const std::string wal_path = std::string(wal_dir) + "/delta.wal";
-    auto cleanup = [&] {
-      ::unlink(wal_path.c_str());
-      ::rmdir(wal_dir);
-    };
+    auto cleanup = [&] { std::filesystem::remove_all(wal_dir); };
     mbq::nodestore::GraphDb db;
     auto handles = mbq::twitter::LoadIntoNodestore(dataset, &db);
     if (!handles.ok()) {
@@ -321,7 +319,8 @@ int main(int argc, char** argv) {
       cleanup();
       return 2;
     }
-    auto churned = DriveScriptedChurn((*engine)->AsWritable(), dataset);
+    mbq::core::WritableEngine* writer = (*engine)->AsWritable();
+    auto churned = DriveScriptedChurn(writer, dataset);
     if (!churned.ok()) {
       std::fprintf(stderr, "write-path churn failed: %s\n",
                    churned.ToString().c_str());
@@ -329,12 +328,12 @@ int main(int argc, char** argv) {
       return 2;
     }
     if (args.corrupt == "wal-tail") {
-      std::ofstream tail(wal_path, std::ios::binary | std::ios::app);
+      std::ofstream tail(writer->wal()->path(),
+                         std::ios::binary | std::ios::app);
       tail << "garbage: not a wal record";
       std::printf("injected fault: garbage bytes appended to the WAL tail\n");
     }
-    auto report = mbq::core::CheckWritePath(**engine, dataset, wal_path,
-                                            options);
+    auto report = mbq::core::CheckWritePath(**engine, dataset, options);
     if (!report.ok()) {
       std::fprintf(stderr, "write-path check failed: %s\n",
                    report.status().ToString().c_str());
