@@ -43,7 +43,6 @@ Testbed BuildTestbed(uint64_t num_users) {
   bed.dataset = twitter::GenerateDataset(BenchSpec(num_users));
 
   nodestore::GraphDbOptions ndb_options;
-  ndb_options.wal_enabled = false;  // loaded via the direct loader
   ndb_options.cache_bytes = 256ull << 20;
   bed.db = std::make_unique<nodestore::GraphDb>(ndb_options);
   auto nh = twitter::LoadIntoNodestore(bed.dataset, bed.db.get());

@@ -32,7 +32,6 @@ struct Setup {
 Setup Build(const twitter::Dataset& dataset, bool partitioned) {
   Setup s;
   nodestore::GraphDbOptions options;
-  options.wal_enabled = false;
   options.cache_bytes = 256ull << 20;
   options.semantic_partitioning = partitioned;
   s.db = std::make_unique<nodestore::GraphDb>(options);

@@ -1,16 +1,16 @@
 // Extension E1 (the paper's future work, §5): "it would be possible to
 // test for the ability of systems to handle update workloads" by
 // generating the graph on-the-fly with new incoming users, tweets and
-// follow relationships. We stream live events into both engines —
-// transactional batches on the record store, in-place updates on the
-// bitmap store — measuring sustained update throughput and the query
-// latency before and after the stream, and verifying the engines still
-// agree afterwards.
+// follow relationships. We commit live event batches to both engines
+// through the live write path (WritableEngine::Commit — transactional
+// batches on the record store, in-place updates on the bitmap store),
+// measuring sustained update throughput and the query latency before and
+// after the stream, and verifying the engines still agree afterwards.
 
 #include <cstdio>
 
 #include "bench/bench_common.h"
-#include "core/updates.h"
+#include "store/delta/write_batch.h"
 #include "twitter/stream.h"
 #include "util/logging.h"
 
@@ -27,6 +27,20 @@ void Run() {
               FormatCount(users).c_str());
   Testbed bed = BuildTestbed(users);
   uint32_t runs = BenchRuns();
+
+  // Reopen both engines writable over the loaded stores. No WAL: E1
+  // times apply and the commit section, not the device's fsync.
+  core::EngineOptions writable;
+  writable.enable_writes = true;
+  writable.dataset = &bed.dataset;
+  writable.db = bed.db.get();
+  writable.graph = bed.graph.get();
+  writable.handles = &bed.bm_handles;
+  auto ns = core::OpenEngine(core::EngineKind::kNodestore, writable);
+  auto bm = core::OpenEngine(core::EngineKind::kBitmap, writable);
+  MBQ_CHECK(ns.ok() && bm.ok());
+  bed.nodestore_engine = std::move(*ns);
+  bed.bitmap_engine = std::move(*bm);
 
   auto by_followees = core::UsersByFolloweeCount(bed.dataset);
   int64_t probe_uid = by_followees[by_followees.size() * 3 / 4].second;
@@ -47,25 +61,23 @@ void Run() {
   double bm_before = query_latency(
       bed.bitmap_engine.get(), [&] { return bed.graph->SimulatedIoNanos(); });
 
-  // One deterministic stream, applied identically to both engines.
+  // One deterministic stream, committed identically to both engines.
   const size_t kBatches = 20;
   const size_t kBatchSize = 500;
   twitter::UpdateStream stream(bed.dataset, twitter::StreamMix{}, 77);
-  std::vector<std::vector<twitter::StreamEvent>> batches;
+  std::vector<store::WriteBatch> batches;
   for (size_t b = 0; b < kBatches; ++b) batches.push_back(stream.Take(kBatchSize));
 
-  core::NodestoreUpdateApplier ns_applier(bed.db.get(), bed.ndb_handles,
-                                          bed.dataset);
-  core::BitmapUpdateApplier bm_applier(bed.graph.get(), bed.bm_handles,
-                                       bed.dataset);
-
-  auto apply_all = [&](auto& applier, const std::function<uint64_t()>& io,
-                       const char* name) {
+  // `copy` is taken before the clock starts: Commit consumes its batch.
+  auto commit_all = [&](core::MicroblogEngine* engine,
+                        std::vector<store::WriteBatch> copy,
+                        const std::function<uint64_t()>& io, const char* name) {
+    core::WritableEngine* writer = engine->AsWritable();
     WallClock wall;
     uint64_t io0 = io();
     uint64_t wall0 = wall.NowNanos();
-    for (const auto& batch : batches) {
-      Status st = applier.ApplyBatch(batch);
+    for (store::WriteBatch& batch : copy) {
+      Status st = writer->Commit(std::move(batch));
       MBQ_CHECK(st.ok());
     }
     double millis = static_cast<double>(wall.NowNanos() - wall0) / 1e6 +
@@ -79,10 +91,10 @@ void Run() {
 
   std::printf("update throughput (%zu batches x %zu events):\n", kBatches,
               kBatchSize);
-  apply_all(ns_applier, [&] { return bed.db->SimulatedIoNanos(); },
-            "nodestore");
-  apply_all(bm_applier, [&] { return bed.graph->SimulatedIoNanos(); },
-            "bitmapstore");
+  commit_all(bed.nodestore_engine.get(), batches,
+             [&] { return bed.db->SimulatedIoNanos(); }, "nodestore");
+  commit_all(bed.bitmap_engine.get(), batches,
+             [&] { return bed.graph->SimulatedIoNanos(); }, "bitmapstore");
 
   double ns_after = query_latency(bed.nodestore_engine.get(),
                                   [&] { return bed.db->SimulatedIoNanos(); });

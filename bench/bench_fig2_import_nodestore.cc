@@ -31,7 +31,6 @@ void Run() {
   MBQ_CHECK(twitter::ExportCsv(dataset, dir.string()).ok());
 
   nodestore::GraphDbOptions options;
-  options.wal_enabled = false;  // the import tool bypasses transactions
   // The paper's testbed had more RAM (8 GB) than the final Neo4j store
   // (2.8 GB); the import tool "effectively manages memory without
   // explicit configuration". Keep the same cache-exceeds-store regime

@@ -93,7 +93,6 @@ BENCHMARK(BM_RecordFileRead);
 void BM_NodestoreExpand(benchmark::State& state) {
   nodestore::GraphDbOptions options;
   options.disk_profile = storage::DiskProfile::Instant();
-  options.wal_enabled = false;
   nodestore::GraphDb db(options);
   auto user = *db.Label("user");
   auto follows = *db.RelType("follows");

@@ -34,9 +34,7 @@ int main() {
 
   // Record store: import tool (no transactions, concurrent page writes,
   // indexes built afterwards).
-  mbq::nodestore::GraphDbOptions ndb_options;
-  ndb_options.wal_enabled = false;
-  mbq::nodestore::GraphDb db(ndb_options);
+  mbq::nodestore::GraphDb db;
   mbq::nodestore::BatchImporter importer(&db);
   mbq::obs::TraceLog ndb_trace;
   importer.SetTraceLog(&ndb_trace);

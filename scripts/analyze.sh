@@ -3,7 +3,7 @@
 # running it (docs/STATIC_ANALYSIS.md). Also available as the `analyze`
 # CMake target. Runs, in order:
 #
-#   1. check_concurrency.py  — raw-mutex lint, RPC wire-value manifest,
+#   1. check_concurrency.py  — raw-mutex lint, wire-value manifest,
 #                              lock hierarchy table vs. the lock sites
 #   2. check_docs_links.sh   — doc links, metric catalogue, RPC spec
 #   3. run_clang_tidy.sh     — clang-tidy over the gated directories
@@ -21,7 +21,7 @@ repo_root="$(cd "$(dirname "$0")/.." && pwd)"
 cd "$repo_root"
 BUILD_DIR="${1:-build}"
 
-echo "== concurrency lint (raw mutexes, RPC wire manifest, lock table) =="
+echo "== concurrency lint (raw mutexes, wire-value manifest, lock table) =="
 python3 scripts/check_concurrency.py
 
 echo "== doc hygiene (links, metric catalogue, RPC spec) =="

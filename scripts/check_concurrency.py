@@ -15,9 +15,12 @@ Four checks, all textual (no compiler needed, so they run on any box):
    rank bookkeeping; the wrappers are util::ScopedLock / util::RankedLock
    and std::condition_variable_any.
 
-3. RPC wire stability. rpc::MsgType values are frozen in
-   scripts/rpc_wire.lock; any change that is not a pure append breaks
-   mixed-version deployments (docs/CLUSTER.md).
+3. Wire stability. Enum values that persist outside the process are
+   frozen in scripts/rpc_wire.lock, one `[Enum]` section per
+   (header, enum) pair in PINNED_ENUMS: rpc::MsgType (a change that is
+   not a pure append breaks mixed-version deployments, docs/CLUSTER.md)
+   and store::WriteOpKind (WAL records and the kWriteBatch frame carry
+   it; renumbering silently changes what replay applies).
 
 4. Lock hierarchy table. Every `LockRank::kX, "site"` literal in src/
    (the site name may sit on the next line) must be listed in kX's row
@@ -36,7 +39,11 @@ import sys
 REPO = pathlib.Path(__file__).resolve().parent.parent
 SRC = REPO / "src"
 WIRE_LOCK = REPO / "scripts" / "rpc_wire.lock"
-MESSAGES_H = SRC / "rpc" / "messages.h"
+# (header, enum) pairs pinned append-only in WIRE_LOCK's `[enum]` sections.
+PINNED_ENUMS = [
+    (SRC / "rpc" / "messages.h", "MsgType"),
+    (SRC / "store" / "delta" / "write_batch.h", "WriteOpKind"),
+]
 LOCK_RANK_H = SRC / "util" / "lock_rank.h"
 STATIC_ANALYSIS_MD = REPO / "docs" / "STATIC_ANALYSIS.md"
 
@@ -126,54 +133,71 @@ def parse_enum_values(header, enum_name):
     return values
 
 
-def parse_wire_lock():
-    values = []
+def parse_wire_lock(findings):
+    """{enum: [(name, value)]} from WIRE_LOCK's `[enum]` sections."""
+    sections = {}
+    values = None
     for line in WIRE_LOCK.read_text().splitlines():
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
+        if line.startswith("[") and line.endswith("]"):
+            values = sections.setdefault(line[1:-1].strip(), [])
+            continue
+        if values is None:
+            findings.append(f"{WIRE_LOCK.relative_to(REPO)}: `{line}` is "
+                            f"outside any [enum] section")
+            continue
         name, _, value = line.partition("=")
         values.append((name.strip(), int(value.strip())))
-    return values
+    return sections
+
+
+def check_pinned_enum(findings, header, enum_name, lock):
+    """The locked prefix must match `enum_name` exactly; the enum may
+    only append, and never reuse a value."""
+    rel = header.relative_to(REPO)
+    lock_rel = WIRE_LOCK.relative_to(REPO)
+    enum = parse_enum_values(header, enum_name)
+    if not enum:
+        findings.append(f"{rel}: could not parse {enum_name} enum")
+        return
+    if not lock:
+        findings.append(f"{lock_rel}: no [{enum_name}] section pins {rel}")
+        return
+    for i, (name, value) in enumerate(lock):
+        if i >= len(enum):
+            findings.append(
+                f"{rel}: {enum_name}::{name} = {value} was removed; wire "
+                f"values are append-only ({lock_rel})")
+            continue
+        got_name, got_value = enum[i]
+        if (got_name, got_value) != (name, value):
+            findings.append(
+                f"{rel}: {enum_name} entry {i} is {got_name} = {got_value}, "
+                f"but the wire manifest pins {name} = {value}; renumbering "
+                f"changes what peers and logs mean by it ({lock_rel})")
+    for name, value in enum[len(lock):]:
+        findings.append(
+            f"{rel}: {enum_name}::{name} = {value} is not in {lock_rel}; "
+            f"append it to the [{enum_name}] section in the same change")
+    seen = {}
+    for name, value in enum:
+        if value in seen:
+            findings.append(
+                f"{rel}: {enum_name}::{name} reuses wire value {value} "
+                f"(already {seen[value]})")
+        seen[value] = name
 
 
 def check_wire_stability(findings):
     if not WIRE_LOCK.exists():
         findings.append(f"{WIRE_LOCK.relative_to(REPO)}: manifest missing")
         return
-    enum = parse_enum_values(MESSAGES_H, "MsgType")
-    lock = parse_wire_lock()
-    if not enum:
-        findings.append(
-            f"{MESSAGES_H.relative_to(REPO)}: could not parse MsgType enum")
-        return
-    # The locked prefix must match exactly; the enum may only append.
-    for i, (name, value) in enumerate(lock):
-        if i >= len(enum):
-            findings.append(
-                f"{MESSAGES_H.relative_to(REPO)}: MsgType::{name} = {value} "
-                f"was removed; wire values are append-only "
-                f"(scripts/rpc_wire.lock)")
-            continue
-        got_name, got_value = enum[i]
-        if (got_name, got_value) != (name, value):
-            findings.append(
-                f"{MESSAGES_H.relative_to(REPO)}: MsgType entry {i} is "
-                f"{got_name} = {got_value}, but the wire manifest pins "
-                f"{name} = {value}; renumbering breaks mixed-version "
-                f"deployments (scripts/rpc_wire.lock)")
-    for name, value in enum[len(lock):]:
-        findings.append(
-            f"{MESSAGES_H.relative_to(REPO)}: MsgType::{name} = {value} is "
-            f"not in scripts/rpc_wire.lock; append it there in the same "
-            f"change")
-    seen = {}
-    for name, value in enum:
-        if value in seen:
-            findings.append(
-                f"{MESSAGES_H.relative_to(REPO)}: MsgType::{name} reuses "
-                f"wire value {value} (already {seen[value]})")
-        seen[value] = name
+    sections = parse_wire_lock(findings)
+    for header, enum_name in PINNED_ENUMS:
+        check_pinned_enum(findings, header, enum_name,
+                          sections.get(enum_name, []))
 
 
 # `LockRank::kX, "site"`, the site literal on the same or the next line.

@@ -464,16 +464,4 @@ Result<int64_t> BitmapEngine::ShortestPathLength(int64_t uid_a, int64_t uid_b,
   return static_cast<int64_t>(bfs.GetCost());
 }
 
-Status BitmapEngine::EnableWrites(const store::WalOptions& wal,
-                                  const twitter::Dataset& base) {
-  applier_ = std::make_unique<BitmapUpdateApplier>(graph_, h_, base);
-  MBQ_ASSIGN_OR_RETURN(
-      writer_,
-      EngineWriter::Open(wal, static_cast<int64_t>(base.tweets.size()),
-                         [this](const std::vector<twitter::StreamEvent>& ev) {
-                           return applier_->ApplyBatch(ev);
-                         }));
-  return Status::OK();
-}
-
 }  // namespace mbq::core

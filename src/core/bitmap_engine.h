@@ -9,7 +9,6 @@
 #include "bitmapstore/shortest_path.h"
 #include "cache/adjacency_cache.h"
 #include "core/engine.h"
-#include "core/updates.h"
 #include "core/write_path.h"
 #include "obs/introspect.h"
 #include "twitter/loaders.h"
@@ -70,10 +69,10 @@ class BitmapEngine : public MicroblogEngine {
     return adj_cache_ != nullptr ? adj_cache_->stats() : cache::CacheStats{};
   }
 
-  /// Turns the live write path on: builds the update applier and the
-  /// EngineWriter (replaying the WAL when `wal.dir` points at an
-  /// existing log). `base` is the bulk-loaded dataset the writer extends
-  /// (borrowed; only id-space sizes are read, at open).
+  /// Turns the live write path on: builds the EngineWriter (replaying
+  /// the WAL when `wal.dir` points at an existing log). `base` is the
+  /// bulk-loaded dataset the writer extends (borrowed; only id-space
+  /// sizes are read, at open). Defined in bitmap_writes.cc.
   Status EnableWrites(const store::WalOptions& wal,
                       const twitter::Dataset& base);
 
@@ -119,13 +118,17 @@ class BitmapEngine : public MicroblogEngine {
   /// follow `uid`.
   Result<ValueRows> Influence(int64_t uid, int64_t n, bool keep_followers);
 
+  /// The writer's ApplyFn: folds `batch` into the bitmap store in place.
+  Status Apply(const store::WriteBatch& batch);
+  Status ApplyOp(const store::WriteOp& op);
+
   bitmapstore::Graph* graph_;
   twitter::BitmapHandles h_;
   uint32_t threads_ = 1;
   uint64_t slow_query_millis_ = obs::DefaultSlowQueryMillis();
   exec::ThreadPool* pool_ = nullptr;
   std::unique_ptr<cache::AdjacencyCache> adj_cache_;
-  std::unique_ptr<BitmapUpdateApplier> applier_;
+  int64_t next_hid_ = 0;  ///< next fresh hashtag id
   std::unique_ptr<EngineWriter> writer_;
 };
 

@@ -669,6 +669,9 @@ Result<CheckReport> CheckWritePath(MicroblogEngine& engine,
         touched[op.a].insert(op.b);
         break;
       case store::WriteOpKind::kAddMention:
+      case store::WriteOpKind::kNewUser:
+      case store::WriteOpKind::kTagTweet:
+      case store::WriteOpKind::kRetweetOf:
         break;
     }
   }

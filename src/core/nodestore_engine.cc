@@ -159,21 +159,4 @@ Result<int64_t> NodestoreEngine::ShortestPathLength(int64_t uid_a,
   return rows[0][0].AsInt();
 }
 
-Status NodestoreEngine::EnableWrites(const store::WalOptions& wal,
-                                     const twitter::Dataset& base) {
-  MBQ_ASSIGN_OR_RETURN(twitter::NodestoreHandles handles,
-                       twitter::ResolveNodestoreHandles(db_));
-  applier_ = std::make_unique<NodestoreUpdateApplier>(db_, handles, base);
-  MBQ_ASSIGN_OR_RETURN(
-      writer_,
-      EngineWriter::Open(wal, static_cast<int64_t>(base.tweets.size()),
-                         [this](const std::vector<twitter::StreamEvent>& ev) {
-                           return applier_->ApplyBatch(ev);
-                         }));
-  // Cypher reads open shared snapshots, CREATE/SET/DELETE queries run in
-  // the exclusive commit section — same discipline as WriteBatch commits.
-  session_.SetSnapshotRegistry(&writer_->snapshots());
-  return Status::OK();
-}
-
 }  // namespace mbq::core

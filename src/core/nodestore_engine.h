@@ -5,10 +5,10 @@
 #include <string>
 
 #include "core/engine.h"
-#include "core/updates.h"
 #include "core/write_path.h"
 #include "cypher/session.h"
 #include "nodestore/graph_db.h"
+#include "twitter/loaders.h"
 
 namespace mbq::core {
 
@@ -59,11 +59,13 @@ class NodestoreEngine : public MicroblogEngine {
   }
 
   /// Turns the live write path on: resolves the schema handles, builds
-  /// the update applier and the EngineWriter (replaying the WAL when
-  /// `wal.dir` points at an existing log), and routes the Cypher
-  /// session's reads/writes through the snapshot registry. `base` is the
-  /// bulk-loaded dataset the writer extends (borrowed; only id-space
-  /// sizes are read, at open).
+  /// the EngineWriter (replaying the WAL when `wal.dir` points at an
+  /// existing log), and routes the Cypher session's reads/writes through
+  /// the snapshot registry. `base` is the bulk-loaded dataset the writer
+  /// extends (borrowed; only id-space sizes are read, at open). The
+  /// writer's WAL is the one log of committed batches, so a GraphDb with
+  /// its modelled redo log on (GraphDbOptions::wal_enabled) is refused
+  /// with InvalidArgument. Defined in nodestore_writes.cc.
   Status EnableWrites(const store::WalOptions& wal,
                       const twitter::Dataset& base);
 
@@ -84,9 +86,15 @@ class NodestoreEngine : public MicroblogEngine {
   Result<ValueRows> RunToRows(const std::string& query,
                               const cypher::Params& params);
 
+  /// The writer's ApplyFn: folds `batch` into the record store in one
+  /// GraphDb transaction, rolled back if any op fails.
+  Status Apply(const store::WriteBatch& batch);
+  Status ApplyOp(const store::WriteOp& op);
+
   nodestore::GraphDb* db_;
   cypher::CypherSession session_;
-  std::unique_ptr<NodestoreUpdateApplier> applier_;
+  twitter::NodestoreHandles h_{};  ///< resolved by EnableWrites
+  int64_t next_hid_ = 0;           ///< next fresh hashtag id
   std::unique_ptr<EngineWriter> writer_;
 };
 

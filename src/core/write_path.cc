@@ -59,44 +59,25 @@ void CountOps(const store::WriteBatch& batch) {
       case store::WriteOpKind::kFollow: m.follow->Inc(); break;
       case store::WriteOpKind::kUnfollow: m.unfollow->Inc(); break;
       case store::WriteOpKind::kAddMention: m.add_mention->Inc(); break;
+      // The update stream's kinds count in write.ops only.
+      case store::WriteOpKind::kNewUser:
+      case store::WriteOpKind::kTagTweet:
+      case store::WriteOpKind::kRetweetOf: break;
     }
   }
 }
 
 }  // namespace
 
-std::vector<twitter::StreamEvent> EngineWriter::ToEvents(
-    const store::WriteBatch& batch) {
-  std::vector<twitter::StreamEvent> events;
-  events.reserve(batch.size());
+void EngineWriter::AdvancePastTids(const store::WriteBatch& batch) {
   for (const store::WriteOp& op : batch.ops()) {
-    twitter::StreamEvent event;
-    switch (op.kind) {
-      case store::WriteOpKind::kPostTweet:
-        event.kind = twitter::StreamEvent::Kind::kNewTweet;
-        event.uid = op.a;
-        event.tid = op.b;
-        event.text = op.text;
-        break;
-      case store::WriteOpKind::kFollow:
-        event.kind = twitter::StreamEvent::Kind::kNewFollow;
-        event.src_uid = op.a;
-        event.dst_uid = op.b;
-        break;
-      case store::WriteOpKind::kUnfollow:
-        event.kind = twitter::StreamEvent::Kind::kUnfollow;
-        event.src_uid = op.a;
-        event.dst_uid = op.b;
-        break;
-      case store::WriteOpKind::kAddMention:
-        event.kind = twitter::StreamEvent::Kind::kNewMention;
-        event.tid = op.a;
-        event.dst_uid = op.b;
-        break;
+    if (op.kind != store::WriteOpKind::kPostTweet) continue;
+    int64_t next = next_tid_.load(std::memory_order_relaxed);
+    while (op.b >= next &&
+           !next_tid_.compare_exchange_weak(next, op.b + 1,
+                                            std::memory_order_relaxed)) {
     }
-    events.push_back(std::move(event));
   }
-  return events;
 }
 
 Result<std::unique_ptr<EngineWriter>> EngineWriter::Open(
@@ -115,14 +96,9 @@ Result<std::unique_ptr<EngineWriter>> EngineWriter::Open(
   for (store::WriteBatch& batch : recovery.batches) {
     ++seq;
     auto guard = writer->snapshots_.BeginCommit();
-    MBQ_RETURN_IF_ERROR(writer->apply_(ToEvents(batch)));
+    MBQ_RETURN_IF_ERROR(writer->apply_(batch));
     writer->delta_.Count(batch, seq);
-    for (const store::WriteOp& op : batch.ops()) {
-      if (op.kind == store::WriteOpKind::kPostTweet &&
-          op.b >= writer->next_tid_.load(std::memory_order_relaxed)) {
-        writer->next_tid_.store(op.b + 1, std::memory_order_relaxed);
-      }
-    }
+    writer->AdvancePastTids(batch);
   }
   WriteMetrics::Get().replayed_batches->Inc(recovery.records);
   return writer;
@@ -139,15 +115,15 @@ Status EngineWriter::Commit(store::WriteBatch batch) {
       op.b = next_tid_.fetch_add(1, std::memory_order_relaxed);
     }
   }
-  std::vector<twitter::StreamEvent> events = ToEvents(batch);
+  AdvancePastTids(batch);
 
   uint64_t seq = 0;
   {
     auto guard = snapshots_.BeginCommit();
-    Status applied = apply_(events);
+    Status applied = apply_(batch);
     if (!applied.ok()) {
       // Not logged, not counted: replay will never see this batch.
-      // The nodestore applier rolls its transaction back; the bitmap
+      // The nodestore apply rolls its transaction back; the bitmap
       // store applies in place, Sparksee-style, so a mid-batch failure
       // there can leave a prefix applied (documented in docs/WRITES.md).
       WriteMetrics::Get().commit_errors->Inc();

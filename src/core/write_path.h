@@ -5,23 +5,21 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <vector>
 
 #include "core/engine.h"
 #include "store/delta/delta_store.h"
 #include "store/delta/snapshot.h"
 #include "store/delta/wal.h"
 #include "store/delta/write_batch.h"
-#include "twitter/stream.h"
 #include "util/result.h"
 
 namespace mbq::core {
 
 /// The one WritableEngine implementation, shared by both backends: each
-/// engine supplies an `ApplyFn` that folds a batch's events into its
-/// base store, and EngineWriter wraps it with the commit protocol —
+/// engine supplies an `ApplyFn` that folds a batch's ops into its base
+/// store, and EngineWriter wraps it with the commit protocol —
 ///
-///   assign fresh tweet ids
+///   assign fresh tweet ids (and move allocation past caller-assigned ones)
 ///   -> exclusive snapshot section (readers drain, none can start)
 ///        apply to base store   (epoch bumps invalidate the read caches)
 ///        stage the WAL record  (WAL order == apply order)
@@ -34,8 +32,7 @@ namespace mbq::core {
 /// ever re-applies batches that succeeded.
 class EngineWriter : public WritableEngine {
  public:
-  using ApplyFn =
-      std::function<Status(const std::vector<twitter::StreamEvent>&)>;
+  using ApplyFn = std::function<Status(const store::WriteBatch&)>;
 
   /// Opens the writer: opens/replays the WAL in `wal.dir` (an empty dir
   /// runs without a log: no crash durability), re-applies every recovered
@@ -58,9 +55,10 @@ class EngineWriter : public WritableEngine {
   EngineWriter(ApplyFn apply, int64_t tid_floor)
       : apply_(std::move(apply)), next_tid_(tid_floor) {}
 
-  /// Lowers batch ops onto the existing update-stream appliers.
-  static std::vector<twitter::StreamEvent> ToEvents(
-      const store::WriteBatch& batch);
+  /// Moves tweet id allocation past every tid `batch` posts, so a later
+  /// PostTweet never reuses one: ids replayed from the WAL at open, and
+  /// ids a caller assigned itself (the update stream does).
+  void AdvancePastTids(const store::WriteBatch& batch);
 
   store::SnapshotRegistry snapshots_;
   store::DeltaStore delta_;

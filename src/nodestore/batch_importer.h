@@ -54,7 +54,8 @@ struct ImportSpec {
 /// per-chunk timing series plotted in the paper's Figure 2.
 ///
 /// The target database should be configured with `write_through = true`
-/// and `wal_enabled = false` for a faithful import-tool setup.
+/// (and the default `wal_enabled = false`) for a faithful import-tool
+/// setup.
 class BatchImporter {
  public:
   explicit BatchImporter(GraphDb* db);

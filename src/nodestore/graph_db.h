@@ -37,8 +37,11 @@ enum class Direction : uint8_t { kOutgoing, kIncoming, kBoth };
 struct GraphDbOptions {
   /// Page cache size in bytes.
   uint64_t cache_bytes = 64ull << 20;
-  /// Log every mutation to the write-ahead log and sync on commit.
-  bool wal_enabled = true;
+  /// Log every mutation to the modelled redo log and sync it on commit.
+  /// Off by default: it serves direct transactions and RecoverInto
+  /// (turn it on for those), while a writable engine logs its batches to
+  /// its own group-commit WAL and refuses a store with this on.
+  bool wal_enabled = false;
   /// Write dirty pages straight through to disk (the import tool "writes
   /// continuously and concurrently to disk") instead of write-back.
   bool write_through = false;

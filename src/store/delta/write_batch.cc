@@ -40,16 +40,6 @@ bool GetU64(std::string_view* in, uint64_t* v) {
 
 }  // namespace
 
-const char* WriteOpKindName(WriteOpKind kind) {
-  switch (kind) {
-    case WriteOpKind::kPostTweet: return "post_tweet";
-    case WriteOpKind::kFollow: return "follow";
-    case WriteOpKind::kUnfollow: return "unfollow";
-    case WriteOpKind::kAddMention: return "add_mention";
-  }
-  return "?";
-}
-
 void EncodeWriteBatch(const WriteBatch& batch, std::string* out) {
   PutU32(out, static_cast<uint32_t>(batch.size()));
   for (const WriteOp& op : batch.ops()) {
@@ -74,7 +64,7 @@ Result<WriteBatch> DecodeWriteBatch(std::string_view in) {
     uint8_t raw_kind = static_cast<uint8_t>(in.front());
     in.remove_prefix(1);
     if (raw_kind < static_cast<uint8_t>(WriteOpKind::kPostTweet) ||
-        raw_kind > static_cast<uint8_t>(WriteOpKind::kAddMention)) {
+        raw_kind > static_cast<uint8_t>(WriteOpKind::kRetweetOf)) {
       return Status::Corruption("write batch: unknown op kind " +
                                 std::to_string(raw_kind));
     }

@@ -11,26 +11,28 @@
 namespace mbq::store {
 
 /// One logical microblog write. The kinds mirror the live side of the
-/// Table 2 surface (post a tweet, follow/unfollow, mention) rather than
+/// Table 2 surface (post a tweet, follow/unfollow, mention) plus the
+/// three the update stream adds (new user, hashtag, retweet) rather than
 /// raw record edits, so a single op stays meaningful across both store
 /// backends and across the WAL: the same encoded op replays into the
-/// record store and the bitmap store and produces the same graph.
+/// record store and the bitmap store and produces the same graph. WAL
+/// records persist these values, so they are append-only (pinned in
+/// scripts/rpc_wire.lock).
 enum class WriteOpKind : uint8_t {
   kPostTweet = 1,   ///< a = poster uid, b = tweet id (0 until assigned)
   kFollow = 2,      ///< a = follower uid, b = followee uid
   kUnfollow = 3,    ///< a = follower uid, b = followee uid (tombstone)
   kAddMention = 4,  ///< a = tweet id, b = mentioned uid
+  kNewUser = 5,     ///< a = the new user's uid
+  kTagTweet = 6,    ///< a = tweet id, text = hashtag (created on first use)
+  kRetweetOf = 7,   ///< a = retweeting tweet id, b = original tweet id
 };
-
-/// "post_tweet", "follow", "unfollow", "add_mention" — stable names used
-/// by metrics, checkdb reports and the bench template registry.
-const char* WriteOpKindName(WriteOpKind kind);
 
 struct WriteOp {
   WriteOpKind kind = WriteOpKind::kFollow;
   int64_t a = 0;
   int64_t b = 0;
-  std::string text;  ///< tweet text (kPostTweet only)
+  std::string text;  ///< tweet text (kPostTweet) or hashtag (kTagTweet)
 
   bool operator==(const WriteOp& other) const {
     return kind == other.kind && a == other.a && b == other.b &&
@@ -39,9 +41,10 @@ struct WriteOp {
   bool operator!=(const WriteOp& other) const { return !(*this == other); }
 };
 
-/// The unit of change for the live write path. Single typed calls and
-/// group commit share this one value type: `PostTweet(uid)` builds a
-/// one-op batch, a load driver can pack many ops, and the WAL logs the
+/// The unit of change for the live write path. Single typed calls, group
+/// commit and the update stream share this one value type:
+/// `PostTweet(uid)` builds a one-op batch, a load driver can pack many
+/// ops, twitter::UpdateStream emits whole batches, and the WAL logs the
 /// encoded batch either way — there is exactly one commit path.
 class WriteBatch {
  public:

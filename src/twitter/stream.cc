@@ -45,8 +45,8 @@ int64_t UpdateStream::PickTweet() {
   return next_tid_ - 1 - rng_.NextInRange(0, window - 1);
 }
 
-StreamEvent UpdateStream::Next() {
-  StreamEvent event;
+void UpdateStream::Next(store::WriteBatch* batch) {
+  using store::WriteOpKind;
   double total = mix_.new_user + mix_.new_follow + mix_.unfollow +
                  mix_.new_tweet + mix_.new_mention + mix_.new_tag +
                  mix_.new_retweet;
@@ -57,15 +57,19 @@ StreamEvent UpdateStream::Next() {
     roll -= weight;
     return false;
   };
+  auto post_tweet = [&] {
+    int64_t tid = next_tid_++;
+    batch->Append({WriteOpKind::kPostTweet, PickUser(), tid,
+                   "live tweet " + std::to_string(tid)});
+  };
 
   // Degenerate stream states fall through to safe event kinds.
   bool have_tweets = next_tid_ > 0;
   bool have_live_follows = !live_follows_.empty();
 
   if (take(mix_.new_user)) {
-    event.kind = StreamEvent::Kind::kNewUser;
-    event.uid = next_uid_++;
-    return event;
+    batch->Append({WriteOpKind::kNewUser, next_uid_++, 0, {}});
+    return;
   }
   if (take(mix_.new_follow)) {
     // Retry a bounded number of times to find a fresh (src, dst) pair;
@@ -77,65 +81,53 @@ StreamEvent UpdateStream::Next() {
       uint64_t key = (static_cast<uint64_t>(src) << 32) |
                      static_cast<uint32_t>(dst);
       if (!follow_keys_.insert(key).second) continue;
-      event.kind = StreamEvent::Kind::kNewFollow;
-      event.src_uid = src;
-      event.dst_uid = dst;
+      batch->Append({WriteOpKind::kFollow, src, dst, {}});
       live_follows_.push_back({src, dst});
-      return event;
+      return;
     }
-    event.kind = StreamEvent::Kind::kNewTweet;
-    event.uid = PickUser();
-    event.tid = next_tid_++;
-    event.text = "live tweet " + std::to_string(event.tid);
-    return event;
+    post_tweet();
+    return;
   }
   if (take(mix_.unfollow) && have_live_follows) {
-    event.kind = StreamEvent::Kind::kUnfollow;
     size_t pick = rng_.NextBounded(live_follows_.size());
-    event.src_uid = live_follows_[pick].first;
-    event.dst_uid = live_follows_[pick].second;
+    auto [src, dst] = live_follows_[pick];
+    batch->Append({WriteOpKind::kUnfollow, src, dst, {}});
     live_follows_[pick] = live_follows_.back();
     live_follows_.pop_back();
-    follow_keys_.erase((static_cast<uint64_t>(event.src_uid) << 32) |
-                       static_cast<uint32_t>(event.dst_uid));
-    return event;
+    follow_keys_.erase((static_cast<uint64_t>(src) << 32) |
+                       static_cast<uint32_t>(dst));
+    return;
   }
   if (take(mix_.new_tweet) || !have_tweets) {
-    event.kind = StreamEvent::Kind::kNewTweet;
-    event.uid = PickUser();
-    event.tid = next_tid_++;
-    event.text = "live tweet " + std::to_string(event.tid);
-    return event;
+    post_tweet();
+    return;
   }
   if (take(mix_.new_mention)) {
-    event.kind = StreamEvent::Kind::kNewMention;
-    event.tid = PickTweet();
-    event.dst_uid = PickUser();
-    return event;
+    int64_t tid = PickTweet();
+    batch->Append({WriteOpKind::kAddMention, tid, PickUser(), {}});
+    return;
   }
   if (take(mix_.new_tag)) {
-    event.kind = StreamEvent::Kind::kNewTag;
-    event.tid = PickTweet();
-    event.text = "stream_tag" +
-                 std::to_string(rng_.NextBounded(
-                     std::max<int64_t>(8, num_hashtags_)));
-    return event;
+    int64_t tid = PickTweet();
+    batch->Append({WriteOpKind::kTagTweet, tid, 0,
+                   "stream_tag" + std::to_string(rng_.NextBounded(
+                                      std::max<int64_t>(8, num_hashtags_)))});
+    return;
   }
-  // kNewRetweet (also the fallthrough tail of the distribution).
-  event.kind = StreamEvent::Kind::kNewRetweet;
-  event.tid = next_tid_++;
-  event.orig_tid = PickTweet() % std::max<int64_t>(1, event.tid);
-  if (event.orig_tid < 0) event.orig_tid = 0;
-  event.uid = PickUser();
-  event.text = "rt " + std::to_string(event.tid);
-  return event;
+  // A retweet (also the fallthrough tail of the distribution): a new
+  // tweet, then its retweets edge to the original.
+  int64_t tid = next_tid_++;
+  int64_t orig_tid = PickTweet() % std::max<int64_t>(1, tid);
+  if (orig_tid < 0) orig_tid = 0;
+  batch->Append({WriteOpKind::kPostTweet, PickUser(), tid,
+                 "rt " + std::to_string(tid)});
+  batch->Append({WriteOpKind::kRetweetOf, tid, orig_tid, {}});
 }
 
-std::vector<StreamEvent> UpdateStream::Take(size_t n) {
-  std::vector<StreamEvent> events;
-  events.reserve(n);
-  for (size_t i = 0; i < n; ++i) events.push_back(Next());
-  return events;
+store::WriteBatch UpdateStream::Take(size_t n) {
+  store::WriteBatch batch;
+  for (size_t i = 0; i < n; ++i) Next(&batch);
+  return batch;
 }
 
 }  // namespace mbq::twitter

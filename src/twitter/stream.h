@@ -2,38 +2,14 @@
 #define MBQ_TWITTER_STREAM_H_
 
 #include <cstdint>
-#include <string>
 #include <unordered_set>
 #include <vector>
 
+#include "store/delta/write_batch.h"
 #include "twitter/dataset.h"
 #include "util/rng.h"
 
 namespace mbq::twitter {
-
-/// A single microblog event. The paper's future work asks to "simulate
-/// the true real-time nature of microblogs" by generating the graph
-/// on-the-fly with new incoming users, tweets and follow relationships;
-/// this is that event stream.
-struct StreamEvent {
-  enum class Kind : uint8_t {
-    kNewUser,     // uid
-    kNewFollow,   // src_uid -> dst_uid
-    kUnfollow,    // src_uid -x- dst_uid (an existing follow)
-    kNewTweet,    // tid by poster_uid, with text
-    kNewMention,  // tid mentions dst_uid
-    kNewTag,      // tid tagged with hashtag text
-    kNewRetweet,  // tid retweets orig_tid
-  };
-
-  Kind kind;
-  int64_t uid = -1;       // kNewUser / poster of kNewTweet
-  int64_t src_uid = -1;   // kNewFollow / kUnfollow
-  int64_t dst_uid = -1;   // kNewFollow / kUnfollow / kNewMention target
-  int64_t tid = -1;       // tweet id for tweet-scoped events
-  int64_t orig_tid = -1;  // kNewRetweet
-  std::string text;       // tweet text / hashtag text
-};
 
 /// Relative frequency of each event kind per generated event.
 struct StreamMix {
@@ -47,24 +23,33 @@ struct StreamMix {
 };
 
 /// Generates a deterministic, referentially consistent update stream on
-/// top of an existing dataset: every follow/mention references a user
-/// that exists at that point of the stream, every tweet-scoped event a
-/// tweet that exists, and every unfollow an edge that is present.
+/// top of an existing dataset. The paper's future work asks to "simulate
+/// the true real-time nature of microblogs" by generating the graph
+/// on-the-fly with new incoming users, tweets and follow relationships;
+/// this is that stream, written in the live write path's own vocabulary
+/// (store::WriteBatch) so it commits through WritableEngine::Commit like
+/// any other write. Every follow/mention references a user that exists
+/// at that point of the stream, every tweet-scoped op a tweet that
+/// exists, and every unfollow an edge that is present. Tweet ids are
+/// pre-assigned from one past `base`'s tweets (the stream tracks its own
+/// tid space, so it extends an engine that has committed no other
+/// tweets), and a retweet is a kPostTweet followed by a kRetweetOf on the
+/// same tid.
 class UpdateStream {
  public:
   /// Events extend `base` (its users/tweets/hashtags seed the id space).
   UpdateStream(const Dataset& base, StreamMix mix, uint64_t seed);
 
-  /// Generates the next event.
-  StreamEvent Next();
-
-  /// Convenience: a batch of `n` events.
-  std::vector<StreamEvent> Take(size_t n);
+  /// The next `n` events as one batch: one op per event, two for a
+  /// retweet.
+  store::WriteBatch Take(size_t n);
 
   int64_t num_users() const { return next_uid_; }
   int64_t num_tweets() const { return next_tid_; }
 
  private:
+  /// Appends the next event's ops to `batch`.
+  void Next(store::WriteBatch* batch);
   int64_t PickUser();
   int64_t PickTweet();
 
@@ -77,7 +62,7 @@ class UpdateStream {
   /// Live follow edges eligible for unfollow (sampled reservoir).
   std::vector<std::pair<int64_t, int64_t>> live_follows_;
   /// Every follow edge in existence — a user cannot follow twice, so
-  /// kNewFollow events never duplicate an existing edge.
+  /// kFollow ops never duplicate an existing edge.
   std::unordered_set<uint64_t> follow_keys_;
 };
 

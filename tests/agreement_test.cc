@@ -43,7 +43,6 @@ class AgreementSweepTest : public ::testing::TestWithParam<AgreementCase> {
 
     nodestore::GraphDbOptions ndb_options;
     ndb_options.disk_profile = storage::DiskProfile::Instant();
-    ndb_options.wal_enabled = false;
     ndb_options.semantic_partitioning = c.partition_nodestore;
     db_ = std::make_unique<nodestore::GraphDb>(ndb_options);
     auto nh = twitter::LoadIntoNodestore(dataset_, db_.get());
@@ -163,7 +162,6 @@ class RandomDifferentialTest : public ::testing::TestWithParam<uint64_t> {
 
     nodestore::GraphDbOptions ndb_options;
     ndb_options.disk_profile = storage::DiskProfile::Instant();
-    ndb_options.wal_enabled = false;
     ndb_options.semantic_partitioning = shape_rng.NextBounded(2) == 1;
     db_ = std::make_unique<nodestore::GraphDb>(ndb_options);
     auto nh = twitter::LoadIntoNodestore(dataset_, db_.get());

@@ -142,7 +142,6 @@ class ResultCacheCypherTest : public ::testing::Test {
 
     nodestore::GraphDbOptions options;
     options.disk_profile = storage::DiskProfile::Instant();
-    options.wal_enabled = false;
     db_ = std::make_unique<nodestore::GraphDb>(options);
     auto nh = twitter::LoadIntoNodestore(dataset_, db_.get());
     ASSERT_TRUE(nh.ok()) << nh.status().ToString();

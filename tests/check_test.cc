@@ -37,7 +37,6 @@ twitter::Dataset SmallDataset() {
 GraphDbOptions FastOptions(bool partitioned) {
   GraphDbOptions options;
   options.disk_profile = storage::DiskProfile::Instant();
-  options.wal_enabled = false;
   options.semantic_partitioning = partitioned;
   return options;
 }

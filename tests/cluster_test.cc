@@ -133,7 +133,6 @@ class ClusterFixture {
       if (kind == EngineKind::kNodestore) {
         nodestore::GraphDbOptions ndb;
         ndb.disk_profile = storage::DiskProfile::Instant();
-        ndb.wal_enabled = false;
         shard->db = std::make_unique<nodestore::GraphDb>(ndb);
         auto handles = twitter::LoadIntoNodestore(slice, shard->db.get());
         MBQ_RETURN_IF_ERROR(handles.status());
@@ -201,7 +200,6 @@ class ClusterAgreementTest : public ::testing::TestWithParam<ClusterCase> {
     // Reference: the whole dataset in one local engine.
     nodestore::GraphDbOptions ndb;
     ndb.disk_profile = storage::DiskProfile::Instant();
-    ndb.wal_enabled = false;
     db_ = std::make_unique<nodestore::GraphDb>(ndb);
     auto handles = twitter::LoadIntoNodestore(dataset_, db_.get());
     ASSERT_TRUE(handles.ok()) << handles.status().ToString();

@@ -42,7 +42,6 @@ class ConcurrencyTest : public ::testing::Test {
 
     nodestore::GraphDbOptions ndb_options;
     ndb_options.disk_profile = storage::DiskProfile::Instant();
-    ndb_options.wal_enabled = false;
     db_ = std::make_unique<nodestore::GraphDb>(ndb_options);
     auto nh = twitter::LoadIntoNodestore(dataset_, db_.get());
     ASSERT_TRUE(nh.ok()) << nh.status().ToString();

@@ -16,7 +16,6 @@ using nodestore::GraphDbOptions;
 GraphDbOptions FastOptions() {
   GraphDbOptions options;
   options.disk_profile = storage::DiskProfile::Instant();
-  options.wal_enabled = false;
   return options;
 }
 

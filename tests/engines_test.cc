@@ -33,7 +33,6 @@ class EnginesTest : public ::testing::Test {
 
     nodestore::GraphDbOptions ndb_options;
     ndb_options.disk_profile = storage::DiskProfile::Instant();
-    ndb_options.wal_enabled = false;
     db_ = new nodestore::GraphDb(ndb_options);
     auto nh = twitter::LoadIntoNodestore(*dataset_, db_);
     ASSERT_TRUE(nh.ok()) << nh.status().ToString();

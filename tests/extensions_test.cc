@@ -1,11 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <filesystem>
 #include <set>
 
-#include "core/updates.h"
 #include "core/bitmap_engine.h"
 #include "core/nodestore_engine.h"
 #include "nodestore/graph_db.h"
+#include "store/delta/delta_store.h"
+#include "store/delta/wal.h"
+#include "store/delta/write_batch.h"
 #include "twitter/loaders.h"
 #include "twitter/stream.h"
 
@@ -21,7 +26,6 @@ using nodestore::NodeId;
 GraphDbOptions PartitionedOptions() {
   GraphDbOptions options;
   options.disk_profile = storage::DiskProfile::Instant();
-  options.wal_enabled = false;
   options.semantic_partitioning = true;
   return options;
 }
@@ -187,85 +191,133 @@ class UpdateStreamTest : public ::testing::Test {
 TEST_F(UpdateStreamTest, DeterministicFromSeed) {
   twitter::UpdateStream a(dataset_, twitter::StreamMix{}, 5);
   twitter::UpdateStream b(dataset_, twitter::StreamMix{}, 5);
-  for (int i = 0; i < 500; ++i) {
-    auto ea = a.Next();
-    auto eb = b.Next();
+  store::WriteBatch ba = a.Take(500);
+  store::WriteBatch bb = b.Take(500);
+  ASSERT_EQ(ba.size(), bb.size());
+  for (size_t i = 0; i < ba.size(); ++i) {
+    const store::WriteOp& ea = ba.ops()[i];
+    const store::WriteOp& eb = bb.ops()[i];
     EXPECT_EQ(static_cast<int>(ea.kind), static_cast<int>(eb.kind));
-    EXPECT_EQ(ea.uid, eb.uid);
-    EXPECT_EQ(ea.src_uid, eb.src_uid);
-    EXPECT_EQ(ea.tid, eb.tid);
+    EXPECT_EQ(ea.a, eb.a);
+    EXPECT_EQ(ea.b, eb.b);
+    EXPECT_EQ(ea.text, eb.text);
   }
 }
 
 TEST_F(UpdateStreamTest, EventsAreReferentiallyConsistent) {
+  using store::WriteOpKind;
   twitter::UpdateStream stream(dataset_, twitter::StreamMix{}, 6);
   int64_t max_uid = static_cast<int64_t>(dataset_.users.size()) - 1;
   int64_t max_tid = static_cast<int64_t>(dataset_.tweets.size()) - 1;
-  for (const auto& e : stream.Take(2000)) {
+  const store::WriteOp* prev = nullptr;
+  store::WriteBatch batch = stream.Take(2000);
+  EXPECT_GE(batch.size(), 2000u);
+  for (const store::WriteOp& e : batch.ops()) {
     switch (e.kind) {
-      case twitter::StreamEvent::Kind::kNewUser:
-        EXPECT_EQ(e.uid, max_uid + 1);
-        max_uid = e.uid;
+      case WriteOpKind::kNewUser:
+        EXPECT_EQ(e.a, max_uid + 1);
+        max_uid = e.a;
         break;
-      case twitter::StreamEvent::Kind::kNewFollow:
-      case twitter::StreamEvent::Kind::kUnfollow:
-        EXPECT_LE(e.src_uid, max_uid);
-        EXPECT_LE(e.dst_uid, max_uid);
-        EXPECT_NE(e.src_uid, e.dst_uid);
+      case WriteOpKind::kFollow:
+      case WriteOpKind::kUnfollow:
+        EXPECT_LE(e.a, max_uid);
+        EXPECT_LE(e.b, max_uid);
+        EXPECT_NE(e.a, e.b);
         break;
-      case twitter::StreamEvent::Kind::kNewTweet:
-        EXPECT_EQ(e.tid, max_tid + 1);
-        max_tid = e.tid;
-        EXPECT_LE(e.uid, max_uid);
+      case WriteOpKind::kPostTweet:
+        EXPECT_EQ(e.b, max_tid + 1);
+        max_tid = e.b;
+        EXPECT_LE(e.a, max_uid);
         break;
-      case twitter::StreamEvent::Kind::kNewRetweet:
-        EXPECT_EQ(e.tid, max_tid + 1);
-        max_tid = e.tid;
-        EXPECT_GE(e.orig_tid, 0);
-        EXPECT_LT(e.orig_tid, e.tid);
+      case WriteOpKind::kRetweetOf:
+        // A retweet is the tweet just posted, pointing at an older one.
+        ASSERT_NE(prev, nullptr);
+        EXPECT_EQ(static_cast<int>(prev->kind),
+                  static_cast<int>(WriteOpKind::kPostTweet));
+        EXPECT_EQ(e.a, prev->b);
+        EXPECT_EQ(e.a, max_tid);
+        EXPECT_GE(e.b, 0);
+        EXPECT_LT(e.b, e.a);
         break;
-      case twitter::StreamEvent::Kind::kNewMention:
-        EXPECT_LE(e.tid, max_tid);
-        EXPECT_LE(e.dst_uid, max_uid);
+      case WriteOpKind::kAddMention:
+        EXPECT_LE(e.a, max_tid);
+        EXPECT_LE(e.b, max_uid);
         break;
-      case twitter::StreamEvent::Kind::kNewTag:
-        EXPECT_LE(e.tid, max_tid);
+      case WriteOpKind::kTagTweet:
+        EXPECT_LE(e.a, max_tid);
         EXPECT_FALSE(e.text.empty());
         break;
     }
+    prev = &e;
   }
 }
 
-TEST_F(UpdateStreamTest, AppliersKeepEnginesInAgreement) {
+/// Both engines over their own copy of `dataset`, opened writable through
+/// OpenEngine; `wal_dir` empty commits without a log.
+struct WritablePair {
+  std::unique_ptr<GraphDb> db;
+  std::unique_ptr<bitmapstore::Graph> graph;
+  twitter::BitmapHandles handles{};
+  std::unique_ptr<core::MicroblogEngine> ns;
+  std::unique_ptr<core::MicroblogEngine> bm;
+};
+
+WritablePair OpenWritablePair(const twitter::Dataset& dataset,
+                              const std::string& wal_dir = std::string()) {
+  WritablePair pair;
   nodestore::GraphDbOptions ndb_options;
   ndb_options.disk_profile = storage::DiskProfile::Instant();
-  ndb_options.wal_enabled = true;  // exercise the transactional path
-  GraphDb db(ndb_options);
-  auto nh = twitter::LoadIntoNodestore(dataset_, &db);
-  ASSERT_TRUE(nh.ok());
+  pair.db = std::make_unique<GraphDb>(ndb_options);
+  EXPECT_TRUE(twitter::LoadIntoNodestore(dataset, pair.db.get()).ok());
   bitmapstore::GraphOptions bg_options;
   bg_options.disk_profile = storage::DiskProfile::Instant();
-  bitmapstore::Graph graph(bg_options);
-  auto bh = twitter::LoadIntoBitmapstore(dataset_, &graph);
-  ASSERT_TRUE(bh.ok());
+  pair.graph = std::make_unique<bitmapstore::Graph>(bg_options);
+  auto bh = twitter::LoadIntoBitmapstore(dataset, pair.graph.get());
+  EXPECT_TRUE(bh.ok());
+  if (bh.ok()) pair.handles = *bh;
 
-  core::NodestoreUpdateApplier ns_applier(&db, *nh, dataset_);
-  core::BitmapUpdateApplier bm_applier(&graph, *bh, dataset_);
+  core::EngineOptions options;
+  options.enable_writes = true;
+  options.dataset = &dataset;
+  options.db = pair.db.get();
+  options.graph = pair.graph.get();
+  options.handles = &pair.handles;
+  options.wal_dir = wal_dir.empty() ? std::string() : wal_dir + "/ns";
+  auto ns = core::OpenEngine(core::EngineKind::kNodestore, options);
+  options.wal_dir = wal_dir.empty() ? std::string() : wal_dir + "/bm";
+  auto bm = core::OpenEngine(core::EngineKind::kBitmap, options);
+  EXPECT_TRUE(ns.ok()) << ns.status().ToString();
+  EXPECT_TRUE(bm.ok()) << bm.status().ToString();
+  if (ns.ok()) pair.ns = std::move(*ns);
+  if (bm.ok()) pair.bm = std::move(*bm);
+  return pair;
+}
+
+TEST_F(UpdateStreamTest, AppliersKeepEnginesInAgreement) {
+  WritablePair pair = OpenWritablePair(dataset_);
+  ASSERT_NE(pair.ns, nullptr);
+  ASSERT_NE(pair.bm, nullptr);
+  core::WritableEngine* ns = pair.ns->AsWritable();
+  core::WritableEngine* bm = pair.bm->AsWritable();
+
   twitter::UpdateStream stream(dataset_, twitter::StreamMix{}, 9);
+  uint64_t ops = 0;
   for (int batch = 0; batch < 5; ++batch) {
-    auto events = stream.Take(300);
-    ASSERT_TRUE(ns_applier.ApplyBatch(events).ok()) << batch;
-    ASSERT_TRUE(bm_applier.ApplyBatch(events).ok()) << batch;
+    store::WriteBatch events = stream.Take(300);
+    ops += events.size();
+    ASSERT_TRUE(ns->Commit(events).ok()) << batch;
+    ASSERT_TRUE(bm->Commit(std::move(events)).ok()) << batch;
   }
-  EXPECT_EQ(ns_applier.events_applied(), 1500u);
-  EXPECT_EQ(db.NumNodes(), graph.NumNodes());
-  EXPECT_EQ(db.NumRels(), graph.NumEdges());
+  EXPECT_GE(ops, 1500u);  // 5 x 300 events; a retweet is two ops
+  EXPECT_EQ(ns->delta().batches(), 5u);
+  EXPECT_EQ(ns->delta().ops(), ops);
+  EXPECT_EQ(bm->delta().ops(), ops);
+  EXPECT_EQ(pair.db->NumNodes(), pair.graph->NumNodes());
+  EXPECT_EQ(pair.db->NumRels(), pair.graph->NumEdges());
 
-  core::NodestoreEngine ns(&db);
-  core::BitmapEngine bm(&graph, *bh);
   for (int64_t uid : {0, 50, 150}) {
-    auto a = ns.FolloweesOf(uid);
-    auto b = bm.FolloweesOf(uid);
+    auto a = pair.ns->FolloweesOf(uid);
+    auto b = pair.bm->FolloweesOf(uid);
     ASSERT_TRUE(a.ok() && b.ok());
     core::SortRows(&*a);
     core::SortRows(&*b);
@@ -274,18 +326,26 @@ TEST_F(UpdateStreamTest, AppliersKeepEnginesInAgreement) {
 }
 
 TEST_F(UpdateStreamTest, ApplierRejectsUnknownReferences) {
-  nodestore::GraphDbOptions options;
-  options.disk_profile = storage::DiskProfile::Instant();
-  options.wal_enabled = false;
-  GraphDb db(options);
-  auto nh = twitter::LoadIntoNodestore(dataset_, &db);
-  ASSERT_TRUE(nh.ok());
-  core::NodestoreUpdateApplier applier(&db, *nh, dataset_);
-  twitter::StreamEvent bogus;
-  bogus.kind = twitter::StreamEvent::Kind::kNewFollow;
-  bogus.src_uid = 999999;
-  bogus.dst_uid = 0;
-  EXPECT_TRUE(applier.ApplyBatch({bogus}).IsNotFound());
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() /
+      ("mbq_stream_reject_" + std::to_string(::getpid()));
+  std::filesystem::create_directories(dir);
+  {
+    WritablePair pair = OpenWritablePair(dataset_, dir.string());
+    for (core::MicroblogEngine* engine : {pair.ns.get(), pair.bm.get()}) {
+      ASSERT_NE(engine, nullptr);
+      core::WritableEngine* writer = engine->AsWritable();
+      store::WriteBatch bogus;
+      bogus.Follow(999999, 0);
+      EXPECT_TRUE(writer->Commit(std::move(bogus)).IsNotFound())
+          << engine->name();
+      // Not logged, not counted.
+      EXPECT_EQ(writer->wal()->records(), 0u) << engine->name();
+      EXPECT_EQ(writer->delta().batches(), 0u) << engine->name();
+      EXPECT_EQ(writer->delta().ops(), 0u) << engine->name();
+    }
+  }
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

@@ -17,7 +17,6 @@ using common::Value;
 GraphDbOptions FastOptions() {
   GraphDbOptions options;
   options.disk_profile = storage::DiskProfile::Instant();
-  options.wal_enabled = false;
   return options;
 }
 
@@ -543,7 +542,6 @@ TEST(GraphDbFaultTest, ColdReadSurfacesIoErrorAndRecovers) {
   // forces evictions, so enough churn guarantees real device reads.
   GraphDbOptions options;
   options.disk_profile = storage::DiskProfile::Instant();
-  options.wal_enabled = false;
   options.cache_bytes = 16 * storage::kPageSize;
   GraphDb db(options);
   auto user = *db.Label("user");

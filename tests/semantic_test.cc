@@ -24,7 +24,6 @@ nodestore::GraphDb* SharedDb() {
   static nodestore::GraphDb* db = [] {
     nodestore::GraphDbOptions options;
     options.disk_profile = storage::DiskProfile::Instant();
-    options.wal_enabled = false;
     auto* d = new nodestore::GraphDb(options);
     twitter::DatasetSpec spec;
     spec.num_users = 60;

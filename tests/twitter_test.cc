@@ -177,7 +177,6 @@ TEST_F(ExportTest, BothImportersLoadTheSameFiles) {
   // Record-store import tool.
   nodestore::GraphDbOptions ndb_options;
   ndb_options.disk_profile = storage::DiskProfile::Instant();
-  ndb_options.wal_enabled = false;
   ndb_options.write_through = true;
   nodestore::GraphDb db(ndb_options);
   nodestore::BatchImporter importer(&db);
@@ -244,7 +243,6 @@ TEST_F(ExportTest, DirectLoadersMatchDatasetCounts) {
 
   nodestore::GraphDbOptions ndb_options;
   ndb_options.disk_profile = storage::DiskProfile::Instant();
-  ndb_options.wal_enabled = false;
   nodestore::GraphDb db(ndb_options);
   auto nh = LoadIntoNodestore(d, &db);
   ASSERT_TRUE(nh.ok()) << nh.status().ToString();

@@ -7,6 +7,7 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -24,6 +25,7 @@
 #include "store/delta/delta_store.h"
 #include "store/delta/write_batch.h"
 #include "twitter/loaders.h"
+#include "twitter/stream.h"
 #include "util/rng.h"
 
 namespace mbq::core {
@@ -71,7 +73,6 @@ std::unique_ptr<WritableFixture> OpenWritable(
   if (kind == EngineKind::kNodestore) {
     nodestore::GraphDbOptions ndb;
     ndb.disk_profile = storage::DiskProfile::Instant();
-    ndb.wal_enabled = false;
     fx->db = std::make_unique<nodestore::GraphDb>(ndb);
     auto nh = twitter::LoadIntoNodestore(fx->dataset, fx->db.get());
     EXPECT_TRUE(nh.ok()) << nh.status().ToString();
@@ -115,7 +116,6 @@ TEST(WriteApiTest, ReadOnlyEngineHasNoWriteSurface) {
   Dataset dataset = SmallDataset(11);
   nodestore::GraphDbOptions ndb;
   ndb.disk_profile = storage::DiskProfile::Instant();
-  ndb.wal_enabled = false;
   nodestore::GraphDb db(ndb);
   auto nh = twitter::LoadIntoNodestore(dataset, &db);
   ASSERT_TRUE(nh.ok());
@@ -144,6 +144,91 @@ TEST(WriteApiTest, IsWriteCallClassifiesKinds) {
   EXPECT_FALSE(IsWriteCall(CallKind::kFollowees));
   EXPECT_FALSE(IsWriteCall(CallKind::kSelectUsers));
   EXPECT_FALSE(IsWriteCall(CallKind::kShortestPath));
+}
+
+TEST(WriteApiTest, WritableNodestoreRefusesTheModelledRedoLog) {
+  Dataset dataset = SmallDataset(12);
+  nodestore::GraphDbOptions ndb;
+  ndb.disk_profile = storage::DiskProfile::Instant();
+  ndb.wal_enabled = true;
+  nodestore::GraphDb db(ndb);
+  ASSERT_TRUE(twitter::LoadIntoNodestore(dataset, &db).ok());
+  EngineOptions options;
+  options.db = &db;
+  options.enable_writes = true;
+  options.dataset = &dataset;
+  auto writable = OpenEngine(EngineKind::kNodestore, options);
+  ASSERT_FALSE(writable.ok());
+  EXPECT_TRUE(writable.status().IsInvalidArgument())
+      << writable.status().ToString();
+  // The same store still opens read-only.
+  options.enable_writes = false;
+  EXPECT_TRUE(OpenEngine(EngineKind::kNodestore, options).ok());
+}
+
+TEST(WriteApiTest, CallerAssignedTidsAdvanceAllocation) {
+  Dataset dataset = SmallDataset(13);
+  auto ns = OpenWritable(EngineKind::kNodestore, dataset);
+  auto bm = OpenWritable(EngineKind::kBitmap, dataset);
+  for (WritableFixture* fx : {ns.get(), bm.get()}) {
+    WritableEngine* w = fx->writer();
+    ASSERT_NE(w, nullptr);
+    // A batch that assigns its own tid (as the update stream does) must
+    // move allocation past it, or the typed post below would collide.
+    const int64_t tid = w->next_tid();
+    store::WriteBatch batch;
+    batch.Append({store::WriteOpKind::kPostTweet, 0, tid, "caller tid"});
+    ASSERT_TRUE(w->Commit(std::move(batch)).ok());
+    Status typed = w->PostTweet(1, "allocated tid");
+    EXPECT_TRUE(typed.ok()) << typed.ToString();
+    EXPECT_EQ(w->next_tid(), tid + 2);
+  }
+  EXPECT_EQ(ns->db->NumNodes(), bm->graph->NumNodes());
+}
+
+TEST(WriteBatchCodecTest, RoundTripsEveryKind) {
+  using store::WriteOpKind;
+  store::WriteBatch batch;
+  for (WriteOpKind kind :
+       {WriteOpKind::kPostTweet, WriteOpKind::kFollow, WriteOpKind::kUnfollow,
+        WriteOpKind::kAddMention, WriteOpKind::kNewUser,
+        WriteOpKind::kTagTweet, WriteOpKind::kRetweetOf}) {
+    const int64_t k = static_cast<int64_t>(kind);
+    batch.Append({kind, k, -k, ""});
+    batch.Append({kind, INT64_MAX - k, INT64_MIN + k,
+                  "text of kind " + std::to_string(k)});
+  }
+  for (const store::WriteBatch& in : {store::WriteBatch(), batch}) {
+    std::string encoded;
+    store::EncodeWriteBatch(in, &encoded);
+    auto decoded = store::DecodeWriteBatch(encoded);
+    ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+    EXPECT_EQ(*decoded, in);
+  }
+}
+
+TEST(WriteBatchCodecTest, RejectsMalformedInputAsCorruption) {
+  // [u32 count][u8 kind][i64 a][i64 b][u32 text len][text]
+  store::WriteBatch batch;
+  batch.Append({store::WriteOpKind::kTagTweet, 7, 0, "tag"});
+  std::string good;
+  store::EncodeWriteBatch(batch, &good);
+  ASSERT_EQ(good.size(), 4u + 1 + 8 + 8 + 4 + 3);
+  const size_t kind_at = 4;
+
+  std::string kind0 = good;
+  kind0[kind_at] = 0;
+  std::string kind8 = good;
+  kind8[kind_at] = 8;
+  for (const std::string& bad :
+       {kind0, kind8, good.substr(0, 3) /* count */,
+        good.substr(0, kind_at + 1 + 10) /* payload */,
+        good.substr(0, good.size() - 1) /* text */, good + "x" /* trailing */}) {
+    auto decoded = store::DecodeWriteBatch(bad);
+    ASSERT_FALSE(decoded.ok()) << bad.size() << " bytes decoded";
+    EXPECT_TRUE(decoded.status().IsCorruption())
+        << decoded.status().ToString();
+  }
 }
 
 class WriteVisibilityTest : public ::testing::TestWithParam<EngineKind> {};
@@ -551,6 +636,44 @@ TEST_F(WalReplayTest, BitmapEngineReplaysTheSameLog) {
       RowsContainInt(*feed, static_cast<int64_t>(dataset.tweets.size())));
 }
 
+TEST_F(WalReplayTest, StreamBatchReplaysOnBothEngines) {
+  Dataset dataset = SmallDataset(89);
+  const int64_t users = static_cast<int64_t>(dataset.users.size());
+  store::WriteBatch stream =
+      twitter::UpdateStream(dataset, twitter::StreamMix{}, 3).Take(400);
+  std::set<store::WriteOpKind> kinds;
+  for (const store::WriteOp& op : stream.ops()) kinds.insert(op.kind);
+  ASSERT_EQ(kinds.size(), 7u) << "the stream batch must hold every kind";
+
+  std::vector<std::vector<CallOutcome>> digests;
+  for (EngineKind kind : {EngineKind::kNodestore, EngineKind::kBitmap}) {
+    SCOPED_TRACE(kind == EngineKind::kNodestore ? "nodestore" : "bitmap");
+    const std::string dir =
+        wal_dir() + (kind == EngineKind::kNodestore ? "/ns" : "/bm");
+    std::vector<CallOutcome> committed;
+    std::array<uint64_t, 4> counters{};
+    {
+      auto fx = OpenWritable(kind, dataset, dir);
+      ASSERT_NE(fx->writer(), nullptr);
+      ASSERT_TRUE(fx->writer()->Commit(stream).ok());
+      ASSERT_TRUE(fx->writer()->PostTweet(0, "after the stream").ok());
+      committed = ReadDigests(*fx->engine, users);
+      counters = CommitCounters(*fx->writer());
+    }
+    auto fx = OpenWritable(kind, dataset, dir);
+    ASSERT_NE(fx->writer(), nullptr);
+    EXPECT_EQ(CommitCounters(*fx->writer()), counters);
+    std::vector<CallOutcome> replayed = ReadDigests(*fx->engine, users);
+    ASSERT_EQ(committed.size(), replayed.size());
+    for (size_t i = 0; i < committed.size(); ++i) {
+      EXPECT_EQ(committed[i], replayed[i]) << "read #" << i << " diverged";
+    }
+    digests.push_back(std::move(replayed));
+  }
+  ASSERT_EQ(digests.size(), 2u);
+  EXPECT_EQ(digests[0], digests[1]) << "the engines replayed differently";
+}
+
 // ----------------------------------------------------- cache coherence
 
 /// Read caches primed before a commit must not serve stale rows after
@@ -704,6 +827,33 @@ TEST_P(WriteCheckTest, CleanChurnPassesAndReadOnlyIsRefused) {
   std::filesystem::remove_all(dir);
 }
 
+TEST_P(WriteCheckTest, StreamBatchesCheckClean) {
+  std::filesystem::path dir =
+      std::filesystem::temp_directory_path() /
+      ("mbq_wcheck_stream_" + std::to_string(::getpid()) + "_" +
+       std::to_string(static_cast<int>(GetParam())));
+  std::filesystem::create_directories(dir);
+  Dataset dataset = SmallDataset(134);
+  twitter::UpdateStream stream(dataset, twitter::StreamMix{}, 4);
+  uint64_t ops = 0;
+  {
+    auto fx = OpenWritable(GetParam(), dataset, dir.string());
+    ASSERT_NE(fx->writer(), nullptr);
+    for (int i = 0; i < 3; ++i) {
+      store::WriteBatch batch = stream.Take(200);
+      ops += batch.size();
+      ASSERT_TRUE(fx->writer()->Commit(std::move(batch)).ok());
+    }
+    auto report = CheckWritePath(*fx->engine, dataset);
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    EXPECT_TRUE(report->ok()) << report->ToText();
+    EXPECT_EQ(report->wal_records_checked, 3u);
+    EXPECT_EQ(report->delta_ops_checked, ops);
+    EXPECT_GT(report->rels_checked, 0u);
+  }
+  std::filesystem::remove_all(dir);
+}
+
 INSTANTIATE_TEST_SUITE_P(Engines, WriteCheckTest,
                          ::testing::Values(EngineKind::kNodestore,
                                            EngineKind::kBitmap));
@@ -714,7 +864,6 @@ TEST(WriteRpcTest, WriteBatchFrameIsReservedNotImplemented) {
   Dataset dataset = SmallDataset(144);
   nodestore::GraphDbOptions ndb;
   ndb.disk_profile = storage::DiskProfile::Instant();
-  ndb.wal_enabled = false;
   nodestore::GraphDb db(ndb);
   ASSERT_TRUE(twitter::LoadIntoNodestore(dataset, &db).ok());
   EngineOptions options;
@@ -747,7 +896,6 @@ TEST(WriteRpcTest, RemoteEngineIsReadOnly) {
   Dataset dataset = SmallDataset(155);
   nodestore::GraphDbOptions ndb;
   ndb.disk_profile = storage::DiskProfile::Instant();
-  ndb.wal_enabled = false;
   nodestore::GraphDb db(ndb);
   ASSERT_TRUE(twitter::LoadIntoNodestore(dataset, &db).ok());
   EngineOptions shard_options;

@@ -158,7 +158,7 @@ mbq::Status BreakAdjacency(mbq::bitmapstore::Graph* graph,
   return mbq::Status::NotFound("no edge to corrupt");
 }
 
-// Scripted churn for the write-path section: every op kind, including
+// Scripted churn for the write-path section: every typed op kind, including
 // tombstones over both freshly created and bulk-loaded follows edges,
 // plus one packed batch — deterministic, so reruns check the same graph.
 mbq::Status DriveScriptedChurn(mbq::core::WritableEngine* writer,

@@ -261,7 +261,6 @@ Result<std::unique_ptr<mbq::core::MicroblogEngine>> OpenLocalEngine(
   if (kind == "nodestore") {
     nodestore::GraphDbOptions ndb;
     ndb.disk_profile = storage::DiskProfile::Instant();
-    ndb.wal_enabled = false;
     stores->db = std::make_unique<nodestore::GraphDb>(ndb);
     MBQ_ASSIGN_OR_RETURN(auto handles,
                          twitter::LoadIntoNodestore(dataset, stores->db.get()));

@@ -245,7 +245,6 @@ int RunShard(const Args& args) {
   if (args.engine == "nodestore") {
     nodestore::GraphDbOptions ndb;
     ndb.disk_profile = storage::DiskProfile::Instant();
-    ndb.wal_enabled = false;
     db = std::make_unique<nodestore::GraphDb>(ndb);
     Result<twitter::NodestoreHandles> handles =
         twitter::LoadIntoNodestore(slice, db.get());
@@ -411,7 +410,6 @@ int RunVerify(const Args& args) {
   twitter::Dataset full = twitter::GenerateDataset(SpecFromArgs(args));
   nodestore::GraphDbOptions ndb;
   ndb.disk_profile = storage::DiskProfile::Instant();
-  ndb.wal_enabled = false;
   nodestore::GraphDb db(ndb);
   Result<twitter::NodestoreHandles> handles =
       twitter::LoadIntoNodestore(full, &db);
