@@ -1,39 +1,47 @@
 #!/usr/bin/env bash
 # Boots a local mbqd cluster on loopback — N shard daemons plus one
-# aggregator, all on ephemeral ports — then runs `mbqd --verify` through
-# the aggregator: every Table 2 navigation call, fixed anchors plus the
-# randomized differential call set, must match a single-process engine
-# on the same dataset bit-for-bit (after canonical row sorting). This is
-# the `cluster-smoke` CMake target and part of the sanitizer gate.
+# aggregator, all on ephemeral ports — then runs `mbqbench --verify`
+# with scripts/verify.mix: calls of all 11 Table 2 read kinds must match
+# a single-process engine on the same dataset bit-for-bit (after
+# canonical row sorting). Through the aggregator the verify is followed
+# by a 2-client, 2-second drive whose driver.latency_micros histogram
+# must land in the exported metrics; a second verify goes to the shards
+# directly. This is the `cluster-smoke` CMake target and part of the
+# sanitizer gate.
 #
 # Usage:
-#   scripts/cluster_local.sh <mbqd-binary> [shards] [users] [partition]
+#   scripts/cluster_local.sh <mbqd-binary> <mbqbench-binary> [shards] [users] [partition]
 #
 #   shards     shard daemon count (default 2)
 #   users      dataset size (default 800; seed is fixed at 42)
 #   partition  hash | range (default hash)
 #
-# Every daemon's stderr is kept in a temp log and dumped on failure.
-# Shards get MBQ_STATS_PORT= cleared so parallel runs never fight over a
-# stats port; pass MBQ_CLUSTER_STATS=1 to give each shard --serve on an
-# ephemeral port instead (ports are printed in the logs).
+# Every process's stderr is kept in a temp log and dumped on failure.
+# Daemons and mbqbench get MBQ_STATS_PORT= cleared so parallel runs
+# never fight over a stats port; pass MBQ_CLUSTER_STATS=1 to give each
+# daemon --serve on an ephemeral port instead (ports are printed in the
+# logs).
 set -eu
 
-if [ "$#" -lt 1 ]; then
-  echo "usage: $0 <mbqd-binary> [shards] [users] [partition]" >&2
+if [ "$#" -lt 2 ]; then
+  echo "usage: $0 <mbqd-binary> <mbqbench-binary> [shards] [users] [partition]" >&2
   exit 2
 fi
 
 mbqd="$1"
-shards="${2:-2}"
-users="${3:-800}"
-partition="${4:-hash}"
+mbqbench="$2"
+shards="${3:-2}"
+users="${4:-800}"
+partition="${5:-hash}"
 seed=42
+mix="$(dirname "$0")/verify.mix"
 
-if [ ! -x "$mbqd" ]; then
-  echo "cluster-local: $mbqd is not an executable" >&2
-  exit 2
-fi
+for bin in "$mbqd" "$mbqbench"; do
+  if [ ! -x "$bin" ]; then
+    echo "cluster-local: $bin is not an executable" >&2
+    exit 2
+  fi
+done
 if [ "$shards" -lt 1 ]; then
   echo "cluster-local: need at least 1 shard" >&2
   exit 2
@@ -120,26 +128,41 @@ if [ -z "$agg_port" ]; then
   exit 1
 fi
 
-# Probe, then the full differential verify through the aggregator.
+# Probe, then the differential verify and a 2-client drive through the
+# aggregator.
 if ! "$mbqd" --probe="127.0.0.1:$agg_port"; then
   echo "cluster-local: probe failed" >&2
   dump_logs
   exit 1
 fi
-if ! "$mbqd" --verify --users="$users" --seed="$seed" \
-    --shard="127.0.0.1:$agg_port" --calls=30; then
+metrics="$logdir/aggregator.json"
+if ! MBQ_STATS_PORT= "$mbqbench" --mix="$mix" --verify=220 --rate=200 \
+    --duration=2 --clients=2 --users="$users" --seed="$seed" \
+    --shard="127.0.0.1:$agg_port" --metrics-out="$metrics" \
+    >"$logdir/via-aggregator.log" 2>&1; then
   echo "cluster-local: verify through the aggregator FAILED" >&2
+  dump_logs
+  exit 1
+fi
+grep '^verify ' "$logdir/via-aggregator.log"
+# Exported lines look like:
+#   {"name": "driver.latency_micros", ..., "count": N, ...}
+count="$(grep '"driver.latency_micros"' "$metrics" |
+  sed -n 's/.*"count": \([0-9][0-9]*\).*/\1/p')"
+if [ -z "$count" ] || [ "$count" -eq 0 ]; then
+  echo "cluster-local: driver.latency_micros is missing or empty" >&2
   dump_logs
   exit 1
 fi
 
 # Also verify against the shards directly — exercises the client-side
 # fan-out path without the extra hop.
-if ! "$mbqd" --verify --users="$users" --seed="$seed" \
-    "${shard_args[@]}" --calls=10; then
+if ! MBQ_STATS_PORT= "$mbqbench" --mix="$mix" --verify=110 --requests=1 \
+    --users="$users" --seed="$seed" "${shard_args[@]}" \
+    >"$logdir/direct.log" 2>&1; then
   echo "cluster-local: verify against the shards directly FAILED" >&2
   dump_logs
   exit 1
 fi
 
-echo "cluster-local: $shards shards + aggregator agree with the single-process engine (users=$users, $partition partition)"
+echo "cluster-local: $shards shards + aggregator agree with the single-process engine (users=$users, $partition partition; $count driven requests)"

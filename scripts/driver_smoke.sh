@@ -5,25 +5,19 @@
 # end-to-end check that the driver plane is wired through (mix parsing
 # -> param generation -> open-loop clients -> histogram merge ->
 # metrics export). This is the `driver-smoke` CMake target and part of
-# the sanitizer gate.
-#
-# With an mbqd binary as the second argument, additionally boots a
-# 2-shard + aggregator topology on loopback (same idiom as
-# cluster_local.sh) and drives the tao suite through
-# EngineKind::kRemote with --verify, asserting the remote run reaches
-# the same all-agree verdict as the local one.
+# the sanitizer gate. scripts/cluster_local.sh drives the same plane
+# through a 2-shard cluster.
 #
 # Usage:
-#   scripts/driver_smoke.sh <mbqbench-binary> [mbqd-binary]
+#   scripts/driver_smoke.sh <mbqbench-binary>
 set -eu
 
 if [ "$#" -lt 1 ]; then
-  echo "usage: $0 <mbqbench-binary> [mbqd-binary]" >&2
+  echo "usage: $0 <mbqbench-binary>" >&2
   exit 2
 fi
 
 mbqbench="$1"
-mbqd="${2:-}"
 users=600
 seed=42
 
@@ -33,16 +27,7 @@ if [ ! -x "$mbqbench" ]; then
 fi
 
 logdir="$(mktemp -d /tmp/mbq_driver_smoke.XXXXXX)"
-pids=()
-cleanup() {
-  for pid in "${pids[@]:-}"; do
-    [ -n "$pid" ] && kill "$pid" 2>/dev/null || true
-  done
-  for pid in "${pids[@]:-}"; do
-    [ -n "$pid" ] && wait "$pid" 2>/dev/null || true
-  done
-  rm -rf "$logdir"
-}
+cleanup() { rm -rf "$logdir"; }
 trap cleanup EXIT
 
 # Asserts the metrics JSON has a driver histogram with a non-zero count.
@@ -86,72 +71,4 @@ if [ "$fail" -ne 0 ]; then
   exit 1
 fi
 
-if [ -z "$mbqd" ]; then
-  echo "driver-smoke: OK (local engine; pass an mbqd binary to also smoke the remote path)"
-  exit 0
-fi
-if [ ! -x "$mbqd" ]; then
-  echo "driver-smoke: $mbqd is not an executable" >&2
-  exit 2
-fi
-
-# --- remote topology: 2 shards + aggregator, ephemeral ports ---------
-shards=2
-shard_args=()
-for i in $(seq 0 $((shards - 1))); do
-  log="$logdir/shard$i.log"
-  MBQ_STATS_PORT= "$mbqd" --port=0 --shards="$shards" --shard-id="$i" \
-    --users="$users" --seed="$seed" 2>"$log" &
-  pids+=($!)
-done
-for i in $(seq 0 $((shards - 1))); do
-  log="$logdir/shard$i.log"
-  port=""
-  for _ in $(seq 1 300); do
-    port="$(sed -n 's/.*listening on 127\.0\.0\.1:\([0-9]*\)$/\1/p' "$log" | head -n 1)"
-    [ -n "$port" ] && break
-    if ! kill -0 "${pids[$i]}" 2>/dev/null; then
-      echo "driver-smoke: shard $i exited early" >&2
-      cat "$log" >&2
-      exit 1
-    fi
-    sleep 0.2
-  done
-  if [ -z "$port" ]; then
-    echo "driver-smoke: shard $i did not come up" >&2
-    exit 1
-  fi
-  shard_args+=("--shard=127.0.0.1:$port")
-done
-
-agg_log="$logdir/aggregator.log"
-MBQ_STATS_PORT= "$mbqd" --aggregate --port=0 "${shard_args[@]}" \
-  2>"$agg_log" &
-pids+=($!)
-agg_port=""
-for _ in $(seq 1 300); do
-  agg_port="$(sed -n 's/.*listening on 127\.0\.0\.1:\([0-9]*\)$/\1/p' "$agg_log" | head -n 1)"
-  [ -n "$agg_port" ] && break
-  if ! kill -0 "${pids[$shards]}" 2>/dev/null; then
-    echo "driver-smoke: aggregator exited early" >&2
-    cat "$agg_log" >&2
-    exit 1
-  fi
-  sleep 0.2
-done
-if [ -z "$agg_port" ]; then
-  echo "driver-smoke: aggregator did not come up" >&2
-  exit 1
-fi
-
-out="$logdir/remote.json"
-if ! "$mbqbench" --suite=tao --rate=200 --duration=2 --clients=2 \
-    --users="$users" --seed="$seed" --shard="127.0.0.1:$agg_port" \
-    --verify=40 --metrics-out="$out" \
-    >"$logdir/remote.out" 2>"$logdir/remote.err"; then
-  echo "driver-smoke: remote drive/verify FAILED" >&2
-  cat "$logdir/remote.err" >&2
-  exit 1
-fi
-check_histogram "$out" "driver.latency_micros" || exit 1
-echo "driver-smoke: OK (local suites + remote topology verified)"
+echo "driver-smoke: OK"

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Boots a 2-shard + aggregator loopback cluster with stats servers and
 # forced slow-query capture, drives traced navigation calls through the
-# aggregator, then asserts the distributed-tracing plane end to end:
+# aggregator (`mbqbench --verify` with scripts/verify.mix), then asserts
+# the distributed-tracing plane end to end:
 #
 #   - mbqtrace stitches /trace.json from all three daemons into one
 #     merged Chrome trace whose spans share a single trace id and come
@@ -14,22 +15,23 @@
 # This is the `trace-smoke` CMake target and part of the sanitizer gate.
 #
 # Usage:
-#   scripts/trace_smoke.sh <mbqd-binary> <mbqtrace-binary> <mbqtop-binary>
+#   scripts/trace_smoke.sh <mbqd-binary> <mbqbench-binary> <mbqtrace-binary> <mbqtop-binary>
 set -eu
 
-if [ "$#" -lt 3 ]; then
-  echo "usage: $0 <mbqd-binary> <mbqtrace-binary> <mbqtop-binary>" >&2
+if [ "$#" -lt 4 ]; then
+  echo "usage: $0 <mbqd-binary> <mbqbench-binary> <mbqtrace-binary> <mbqtop-binary>" >&2
   exit 2
 fi
 
 mbqd="$1"
-mbqtrace="$2"
-mbqtop="$3"
+mbqbench="$2"
+mbqtrace="$3"
+mbqtop="$4"
 shards=2
 users=400
 seed=42
 
-for bin in "$mbqd" "$mbqtrace" "$mbqtop"; do
+for bin in "$mbqd" "$mbqbench" "$mbqtrace" "$mbqtop"; do
   if [ ! -x "$bin" ]; then
     echo "trace-smoke: $bin is not an executable" >&2
     exit 2
@@ -124,10 +126,12 @@ case "$health" in
     ;;
 esac
 
-# Drive traced calls through the aggregator; every one mints a sampled
-# root context client-side and fans out across both shards.
-if ! "$mbqd" --verify --users="$users" --seed="$seed" \
-    --shard="127.0.0.1:$agg_port" --calls=10 2>"$logdir/verify.log"; then
+# Drive 22 traced calls of the verify mix through the aggregator; every
+# one mints a sampled root context client-side and fans out across both
+# shards.
+if ! MBQ_STATS_PORT= "$mbqbench" --mix="$(dirname "$0")/verify.mix" \
+    --verify=22 --requests=1 --users="$users" --seed="$seed" \
+    --shard="127.0.0.1:$agg_port" >"$logdir/verify.log" 2>&1; then
   echo "trace-smoke: traced verify drive FAILED" >&2
   dump_logs
   exit 1

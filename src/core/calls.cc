@@ -32,15 +32,6 @@ uint64_t DigestRows(const ValueRows& rows) {
   return h;
 }
 
-Result<CallOutcome> OutcomeOf(Result<ValueRows> rows) {
-  if (!rows.ok()) return rows.status();
-  SortRows(&*rows);
-  CallOutcome outcome;
-  outcome.rows = rows->size();
-  outcome.digest = DigestRows(*rows);
-  return outcome;
-}
-
 }  // namespace
 
 const char* CallKindName(CallKind kind) {
@@ -113,8 +104,7 @@ std::string CallSpecToString(const CallSpec& spec) {
   return out;
 }
 
-Result<CallOutcome> DispatchCall(MicroblogEngine& engine,
-                                 const CallSpec& spec) {
+Result<ValueRows> RunCall(MicroblogEngine& engine, const CallSpec& spec) {
   // The driver funnel is an ingress: every dispatched call gets a trace
   // context (a child when an outer scope — e.g. a traced RPC — already
   // named the request, a fresh root otherwise), so the engine's spans
@@ -122,33 +112,30 @@ Result<CallOutcome> DispatchCall(MicroblogEngine& engine,
   obs::ScopedTraceContext trace(obs::ChildOrRootContext());
   switch (spec.kind) {
     case CallKind::kSelectUsers:
-      return OutcomeOf(engine.SelectUsersByFollowerCount(spec.threshold));
+      return engine.SelectUsersByFollowerCount(spec.threshold);
     case CallKind::kFollowees:
-      return OutcomeOf(engine.FolloweesOf(spec.a));
+      return engine.FolloweesOf(spec.a);
     case CallKind::kTweetsOfFollowees:
-      return OutcomeOf(engine.TweetsOfFollowees(spec.a));
+      return engine.TweetsOfFollowees(spec.a);
     case CallKind::kHashtagsOfFollowees:
-      return OutcomeOf(engine.HashtagsUsedByFollowees(spec.a));
+      return engine.HashtagsUsedByFollowees(spec.a);
     case CallKind::kTopCoMentioned:
-      return OutcomeOf(engine.TopCoMentionedUsers(spec.a, spec.n));
+      return engine.TopCoMentionedUsers(spec.a, spec.n);
     case CallKind::kTopCoTags:
-      return OutcomeOf(engine.TopCoOccurringHashtags(spec.tag, spec.n));
+      return engine.TopCoOccurringHashtags(spec.tag, spec.n);
     case CallKind::kRecFollowees:
-      return OutcomeOf(engine.RecommendFolloweesOfFollowees(spec.a, spec.n));
+      return engine.RecommendFolloweesOfFollowees(spec.a, spec.n);
     case CallKind::kRecFollowers:
-      return OutcomeOf(engine.RecommendFollowersOfFollowees(spec.a, spec.n));
+      return engine.RecommendFollowersOfFollowees(spec.a, spec.n);
     case CallKind::kCurrentInfluence:
-      return OutcomeOf(engine.CurrentInfluence(spec.a, spec.n));
+      return engine.CurrentInfluence(spec.a, spec.n);
     case CallKind::kPotentialInfluence:
-      return OutcomeOf(engine.PotentialInfluence(spec.a, spec.n));
+      return engine.PotentialInfluence(spec.a, spec.n);
     case CallKind::kShortestPath: {
       Result<int64_t> length =
           engine.ShortestPathLength(spec.a, spec.b, spec.max_hops);
       if (!length.ok()) return length.status();
-      CallOutcome outcome;
-      outcome.rows = 1;
-      outcome.digest = MixHash(kFnvOffset, static_cast<uint64_t>(*length));
-      return outcome;
+      return ValueRows{{Value::Int(*length)}};
     }
     case CallKind::kPostTweet:
     case CallKind::kFollow:
@@ -176,15 +163,94 @@ Result<CallOutcome> DispatchCall(MicroblogEngine& engine,
           break;
       }
       MBQ_RETURN_IF_ERROR(committed);
-      // Writes digest as the empty result: the tweet ids a commit assigns
-      // depend on allocation order, so hashing them would make identical
-      // logical write streams diverge across engines and runs.
-      CallOutcome outcome;
-      outcome.digest = DigestRows({});
-      return outcome;
+      return ValueRows{};
     }
   }
   return Status::InvalidArgument("unknown call kind");
+}
+
+Result<CallOutcome> DispatchCall(MicroblogEngine& engine,
+                                 const CallSpec& spec) {
+  Result<ValueRows> rows = RunCall(engine, spec);
+  if (!rows.ok()) return rows.status();
+  SortRows(&*rows);
+  CallOutcome outcome;
+  outcome.rows = rows->size();
+  outcome.digest = DigestRows(*rows);
+  return outcome;
+}
+
+VerifyTally VerifyReport::Total() const {
+  VerifyTally sum;
+  for (const auto& [kind, tally] : kinds) {
+    sum.agreed += tally.agreed;
+    sum.total += tally.total;
+    sum.errors += tally.errors;
+  }
+  return sum;
+}
+
+VerifyReport Verify(MicroblogEngine& reference, MicroblogEngine& target,
+                    const std::vector<CallSpec>& specs) {
+  VerifyReport report;
+  for (const CallSpec& spec : specs) {
+    Result<ValueRows> want = RunCall(reference, spec);
+    Result<ValueRows> got = RunCall(target, spec);
+    if (want.ok()) SortRows(&*want);
+    if (got.ok()) SortRows(&*got);
+    VerifyTally& tally = report.kinds[spec.kind];
+    tally.total += 1;
+    if (want.ok() && got.ok() ? *want == *got
+                              : want.status().code() == got.status().code()) {
+      tally.agreed += 1;
+      // The same refusal on both sides (an unknown hashtag, say) is
+      // agreement, tallied apart.
+      if (!want.ok()) tally.errors += 1;
+      continue;
+    }
+    if (report.first_divergence.has_value()) continue;
+    Divergence& d = report.first_divergence.emplace();
+    d.spec = spec;
+    d.reference_status = want.status();
+    d.target_status = got.status();
+    if (want.ok()) d.reference_rows = std::move(*want);
+    if (got.ok()) d.target_rows = std::move(*got);
+  }
+  return report;
+}
+
+std::string DivergenceToString(const Divergence& d) {
+  auto side = [](const Status& status, const ValueRows& rows) {
+    return status.ok() ? std::to_string(rows.size()) + " rows"
+                       : status.ToString();
+  };
+  // Rows of `rows` missing from `other`; both are in SortRows order.
+  auto only_in = [](const ValueRows& rows, const ValueRows& other) {
+    constexpr size_t kShown = 3;
+    std::string out;
+    size_t missing = 0;
+    for (const ValueRow& row : rows) {
+      if (std::binary_search(other.begin(), other.end(), row)) continue;
+      if (++missing > kShown) continue;
+      out += missing == 1 ? " [" : ", [";
+      for (size_t i = 0; i < row.size(); ++i) {
+        out += (i == 0 ? "" : " ") + row[i].ToString();
+      }
+      out += "]";
+    }
+    if (missing > kShown) {
+      out += " and " + std::to_string(missing - kShown) + " more";
+    }
+    return out;
+  };
+  std::string out = CallSpecToString(d.spec) + ": reference " +
+                    side(d.reference_status, d.reference_rows) + ", target " +
+                    side(d.target_status, d.target_rows);
+  std::string ref_only = only_in(d.reference_rows, d.target_rows);
+  std::string target_only = only_in(d.target_rows, d.reference_rows);
+  if (!ref_only.empty()) out += "; only in reference:" + ref_only;
+  if (!target_only.empty()) out += "; only in target:" + target_only;
+  return out;
 }
 
 ParamUniverse::ParamUniverse(const twitter::Dataset& dataset) {

@@ -2,6 +2,7 @@
 #define MBQ_CORE_CALLS_H_
 
 #include <cstdint>
+#include <map>
 #include <optional>
 #include <string>
 #include <utility>
@@ -81,14 +82,62 @@ struct CallOutcome {
   }
 };
 
-/// Runs `spec` on `engine`. Scalar calls (kShortestPath) fold their
-/// result into the digest with rows = 1. Write calls route through
-/// engine.AsWritable() — NotImplemented when the engine is read-only —
-/// and produce the empty outcome (rows = 0, digest of zero rows): the
-/// ids a write assigns are allocation-order dependent, so digesting
-/// them would make identical logical streams compare unequal.
+/// Runs `spec` on `engine` and returns its rows as the engine produced
+/// them (unsorted). This is the one switch over the call kinds. The
+/// scalar kShortestPath answers one row holding the path length. Write
+/// calls route through engine.AsWritable() — NotImplemented when the
+/// engine is read-only — and answer no rows: the ids a write assigns are
+/// allocation-order dependent, so returning them would make identical
+/// logical streams compare unequal. Every call is a trace ingress: it
+/// runs under a child of the current trace context, or a fresh root.
+Result<ValueRows> RunCall(MicroblogEngine& engine, const CallSpec& spec);
+
+/// RunCall, reduced to its CallOutcome.
 Result<CallOutcome> DispatchCall(MicroblogEngine& engine,
                                  const CallSpec& spec);
+
+/// One call kind's tally in a Verify run. A call on which both engines
+/// fail with the same status code counts as agreed, and also in
+/// `errors`, so a sweep that expects every call to succeed can assert
+/// that tally is zero.
+struct VerifyTally {
+  uint64_t agreed = 0;
+  uint64_t total = 0;
+  uint64_t errors = 0;
+};
+
+/// The first call on which the two engines disagreed: the spec, both
+/// statuses, and both row sets in SortRows order (empty on error).
+struct Divergence {
+  CallSpec spec;
+  Status reference_status;
+  Status target_status;
+  ValueRows reference_rows;
+  ValueRows target_rows;
+};
+
+/// What Verify found: per-kind tallies for the kinds `specs` drew, and
+/// the first divergence, if any.
+struct VerifyReport {
+  std::map<CallKind, VerifyTally> kinds;
+  std::optional<Divergence> first_divergence;
+
+  bool ok() const { return !first_divergence.has_value(); }
+  /// The tallies summed over every kind.
+  VerifyTally Total() const;
+};
+
+/// The differential oracle: runs every spec, in order, on `reference`
+/// and then on `target`, and compares the sorted rows. Write specs run
+/// on both sides too, so every later read sees the same committed
+/// prefix. Runs all specs even after a divergence, so the tallies cover
+/// the whole stream.
+VerifyReport Verify(MicroblogEngine& reference, MicroblogEngine& target,
+                    const std::vector<CallSpec>& specs);
+
+/// One-line form of a divergence for reports: the spec, both statuses
+/// and row counts, and the first few rows only one side returned.
+std::string DivergenceToString(const Divergence& divergence);
 
 /// Parameter generators over a generated twitter dataset: the sampling
 /// side of an open-loop workload. Uids are drawn either uniformly or

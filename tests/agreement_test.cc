@@ -1,11 +1,16 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
+#include <string>
+#include <vector>
 
 #include "core/bitmap_engine.h"
+#include "core/calls.h"
 #include "core/nodestore_engine.h"
 #include "core/workload.h"
 #include "twitter/loaders.h"
+#include "verify_sweep.h"
 
 namespace mbq::core {
 namespace {
@@ -27,10 +32,10 @@ struct AgreementCase {
   bool partition_nodestore;
 };
 
-class AgreementSweepTest : public ::testing::TestWithParam<AgreementCase> {
+/// Both engines over one generated dataset of shape `c`.
+class EnginePairTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    const AgreementCase& c = GetParam();
+  void Open(const AgreementCase& c) {
     DatasetSpec spec;
     spec.num_users = c.users;
     spec.follows_per_user = c.follows_per_user;
@@ -68,15 +73,6 @@ class AgreementSweepTest : public ::testing::TestWithParam<AgreementCase> {
     bm_.reset(static_cast<BitmapEngine*>(bm->release()));
   }
 
-  void ExpectSame(Result<ValueRows> a, Result<ValueRows> b,
-                  const std::string& what) {
-    ASSERT_TRUE(a.ok()) << what << ": " << a.status().ToString();
-    ASSERT_TRUE(b.ok()) << what << ": " << b.status().ToString();
-    SortRows(&*a);
-    SortRows(&*b);
-    EXPECT_EQ(*a, *b) << what;
-  }
-
   Dataset dataset_;
   std::unique_ptr<nodestore::GraphDb> db_;
   std::unique_ptr<bitmapstore::Graph> graph_;
@@ -84,45 +80,50 @@ class AgreementSweepTest : public ::testing::TestWithParam<AgreementCase> {
   std::unique_ptr<BitmapEngine> bm_;
 };
 
+class AgreementSweepTest : public EnginePairTest,
+                           public ::testing::WithParamInterface<AgreementCase> {
+ protected:
+  void SetUp() override { Open(GetParam()); }
+};
+
 TEST_P(AgreementSweepTest, WholeWorkloadAgrees) {
+  // Fixed anchors: the first user, a middle one, the most-mentioned
+  // user, the most used hashtag, then ten random shortest paths.
   auto by_mentions = UsersByMentionCount(dataset_);
   int64_t hot = by_mentions.empty() ? 0 : by_mentions.back().second;
   auto tags = HashtagsByUse(dataset_);
+  std::vector<CallSpec> specs;
+  auto add = [&specs](CallKind kind, int64_t a) -> CallSpec& {
+    CallSpec& spec = specs.emplace_back();
+    spec.kind = kind;
+    spec.a = a;
+    spec.n = 1 << 30;
+    return spec;
+  };
 
-  ExpectSame(ns_->SelectUsersByFollowerCount(10),
-             bm_->SelectUsersByFollowerCount(10), "Q1.1");
-  for (int64_t uid : {int64_t{0}, static_cast<int64_t>(dataset_.users.size()) / 2}) {
-    ExpectSame(ns_->FolloweesOf(uid), bm_->FolloweesOf(uid), "Q2.1");
-    ExpectSame(ns_->TweetsOfFollowees(uid), bm_->TweetsOfFollowees(uid),
-               "Q2.2");
-    ExpectSame(ns_->HashtagsUsedByFollowees(uid),
-               bm_->HashtagsUsedByFollowees(uid), "Q2.3");
-    ExpectSame(ns_->RecommendFolloweesOfFollowees(uid, 1 << 30),
-               bm_->RecommendFolloweesOfFollowees(uid, 1 << 30), "Q4.1");
-    ExpectSame(ns_->RecommendFollowersOfFollowees(uid, 1 << 30),
-               bm_->RecommendFollowersOfFollowees(uid, 1 << 30), "Q4.2");
+  add(CallKind::kSelectUsers, 0).threshold = 10;
+  const int64_t users = static_cast<int64_t>(dataset_.users.size());
+  for (int64_t uid : {int64_t{0}, users / 2}) {
+    for (CallKind kind :
+         {CallKind::kFollowees, CallKind::kTweetsOfFollowees,
+          CallKind::kHashtagsOfFollowees, CallKind::kRecFollowees,
+          CallKind::kRecFollowers}) {
+      add(kind, uid);
+    }
   }
-  ExpectSame(ns_->TopCoMentionedUsers(hot, 1 << 30),
-             bm_->TopCoMentionedUsers(hot, 1 << 30), "Q3.1");
-  if (!tags.empty() && tags.back().first > 0) {
-    ExpectSame(ns_->TopCoOccurringHashtags(tags.back().second, 1 << 30),
-               bm_->TopCoOccurringHashtags(tags.back().second, 1 << 30),
-               "Q3.2");
+  for (CallKind kind : {CallKind::kTopCoMentioned, CallKind::kCurrentInfluence,
+                        CallKind::kPotentialInfluence}) {
+    add(kind, hot);
   }
-  ExpectSame(ns_->CurrentInfluence(hot, 1 << 30),
-             bm_->CurrentInfluence(hot, 1 << 30), "Q5.1");
-  ExpectSame(ns_->PotentialInfluence(hot, 1 << 30),
-             bm_->PotentialInfluence(hot, 1 << 30), "Q5.2");
-
+  const bool used_tag = !tags.empty() && tags.back().first > 0;
+  if (used_tag) add(CallKind::kTopCoTags, 0).tag = tags.back().second;
   Rng rng(GetParam().seed ^ 0xABCD);
   for (int i = 0; i < 10; ++i) {
-    int64_t a = rng.NextBounded(dataset_.users.size());
-    int64_t b = rng.NextBounded(dataset_.users.size());
-    auto la = ns_->ShortestPathLength(a, b, 3);
-    auto lb = bm_->ShortestPathLength(a, b, 3);
-    ASSERT_TRUE(la.ok() && lb.ok());
-    EXPECT_EQ(*la, *lb) << "Q6.1 " << a << "->" << b;
+    CallSpec& path = add(CallKind::kShortestPath, rng.NextBounded(users));
+    path.b = rng.NextBounded(users);
   }
+
+  ExpectAgreement(Verify(*ns_, *bm_, specs), used_tag ? 11 : 10);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -140,10 +141,11 @@ INSTANTIATE_TEST_SUITE_P(
         AgreementCase{404, 50, 3, 1.0, 0.4, true}));
 
 /// Randomized differential harness: every seed derives a random dataset
-/// shape, a random thread count per engine, and a stream of random query
-/// invocations — the two engines must agree on all of them. A failure
-/// message carries the seed, which fully reproduces the case (dataset,
-/// threads and query stream are all derived from it).
+/// shape, a random thread count per engine, and 25 calls drawn from
+/// scripts/verify.mix, every read kind at least twice — the two engines
+/// must agree on all of them. A failure message carries the seed, which
+/// fully reproduces the case (dataset, threads and calls are all derived
+/// from it).
 class RandomDifferentialTest : public ::testing::TestWithParam<uint64_t> {
  protected:
   void BuildFromSeed(uint64_t seed) {
@@ -209,15 +211,6 @@ class RandomDifferentialTest : public ::testing::TestWithParam<uint64_t> {
     bm_->SetThreads(kThreadChoices[shape_rng.NextBounded(3)]);
   }
 
-  void ExpectSame(Result<ValueRows> a, Result<ValueRows> b,
-                  const std::string& what) {
-    ASSERT_TRUE(a.ok()) << what << ": " << a.status().ToString();
-    ASSERT_TRUE(b.ok()) << what << ": " << b.status().ToString();
-    SortRows(&*a);
-    SortRows(&*b);
-    EXPECT_EQ(*a, *b) << what;
-  }
-
   twitter::Dataset dataset_;
   std::unique_ptr<nodestore::GraphDb> db_;
   std::unique_ptr<bitmapstore::Graph> graph_;
@@ -231,81 +224,132 @@ TEST_P(RandomDifferentialTest, RandomQueryStreamAgrees) {
   BuildFromSeed(seed);
   if (HasFatalFailure()) return;
 
-  auto tags = HashtagsByUse(dataset_);
-  Rng rng(seed * 0x9E3779B97F4A7C15ull + 1);
-  const int64_t num_users = static_cast<int64_t>(dataset_.users.size());
-
   constexpr int kCallsPerSeed = 25;
-  for (int call = 0; call < kCallsPerSeed; ++call) {
-    SCOPED_TRACE("call #" + std::to_string(call));
-    int64_t uid = static_cast<int64_t>(rng.NextBounded(num_users));
-    // Small LIMITs are deliberately excluded: both engines break rank
-    // ties deterministically, but a LIMIT cutting through a tie class is
-    // not a disagreement. 1<<30 keeps every row comparable.
-    const int64_t n = 1 << 30;
-    switch (rng.NextBounded(11)) {
-      case 0: {
-        int64_t threshold = static_cast<int64_t>(rng.NextBounded(30));
-        ExpectSame(ns_->SelectUsersByFollowerCount(threshold),
-                   bm_->SelectUsersByFollowerCount(threshold), "Q1.1");
-        break;
-      }
-      case 1:
-        ExpectSame(ns_->FolloweesOf(uid), bm_->FolloweesOf(uid), "Q2.1");
-        break;
-      case 2:
-        ExpectSame(ns_->TweetsOfFollowees(uid), bm_->TweetsOfFollowees(uid),
-                   "Q2.2");
-        break;
-      case 3:
-        ExpectSame(ns_->HashtagsUsedByFollowees(uid),
-                   bm_->HashtagsUsedByFollowees(uid), "Q2.3");
-        break;
-      case 4:
-        ExpectSame(ns_->TopCoMentionedUsers(uid, n),
-                   bm_->TopCoMentionedUsers(uid, n), "Q3.1");
-        break;
-      case 5:
-        if (!tags.empty()) {
-          const std::string& tag =
-              tags[rng.NextBounded(tags.size())].second;
-          ExpectSame(ns_->TopCoOccurringHashtags(tag, n),
-                     bm_->TopCoOccurringHashtags(tag, n), "Q3.2");
-        }
-        break;
-      case 6:
-        ExpectSame(ns_->RecommendFolloweesOfFollowees(uid, n),
-                   bm_->RecommendFolloweesOfFollowees(uid, n), "Q4.1");
-        break;
-      case 7:
-        ExpectSame(ns_->RecommendFollowersOfFollowees(uid, n),
-                   bm_->RecommendFollowersOfFollowees(uid, n), "Q4.2");
-        break;
-      case 8:
-        ExpectSame(ns_->CurrentInfluence(uid, n), bm_->CurrentInfluence(uid, n),
-                   "Q5.1");
-        break;
-      case 9:
-        ExpectSame(ns_->PotentialInfluence(uid, n),
-                   bm_->PotentialInfluence(uid, n), "Q5.2");
-        break;
-      case 10: {
-        int64_t b = static_cast<int64_t>(rng.NextBounded(num_users));
-        auto la = ns_->ShortestPathLength(uid, b, 3);
-        auto lb = bm_->ShortestPathLength(uid, b, 3);
-        ASSERT_TRUE(la.ok() && lb.ok());
-        EXPECT_EQ(*la, *lb) << "Q6.1 " << uid << "->" << b;
-        break;
-      }
-    }
-    if (HasFailure()) return;  // one reproducible failure is enough
-  }
+  ParamUniverse universe(dataset_);
+  ExpectAgreement(Verify(*ns_, *bm_, ReadSweep(universe, seed, kCallsPerSeed)),
+                  11);
 }
 
 /// 8 seeds x 25 random calls = 200 randomized differential cases per run.
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomDifferentialTest,
                          ::testing::Values(1ull, 2ull, 3ull, 4ull, 5ull, 6ull,
                                            7ull, 8ull));
+
+/// Forwards every call to `inner`, except that Q4.1 drops its last row:
+/// a planted engine bug that only one kind shows.
+class DropLastRecFollowee final : public MicroblogEngine {
+ public:
+  explicit DropLastRecFollowee(MicroblogEngine& inner) : inner_(inner) {}
+
+  std::string name() const override { return "drop-last-q4.1"; }
+  Result<ValueRows> SelectUsersByFollowerCount(int64_t threshold) override {
+    return inner_.SelectUsersByFollowerCount(threshold);
+  }
+  Result<ValueRows> FolloweesOf(int64_t uid) override {
+    return inner_.FolloweesOf(uid);
+  }
+  Result<ValueRows> TweetsOfFollowees(int64_t uid) override {
+    return inner_.TweetsOfFollowees(uid);
+  }
+  Result<ValueRows> HashtagsUsedByFollowees(int64_t uid) override {
+    return inner_.HashtagsUsedByFollowees(uid);
+  }
+  Result<ValueRows> TopCoMentionedUsers(int64_t uid, int64_t n) override {
+    return inner_.TopCoMentionedUsers(uid, n);
+  }
+  Result<ValueRows> TopCoOccurringHashtags(const std::string& tag,
+                                           int64_t n) override {
+    return inner_.TopCoOccurringHashtags(tag, n);
+  }
+  Result<ValueRows> RecommendFolloweesOfFollowees(int64_t uid,
+                                                  int64_t n) override {
+    Result<ValueRows> rows = inner_.RecommendFolloweesOfFollowees(uid, n);
+    if (rows.ok() && !rows->empty()) {
+      if (!first_dropped.has_value()) first_dropped = rows->back();
+      rows->pop_back();
+      ++drops;
+    }
+    return rows;
+  }
+  Result<ValueRows> RecommendFollowersOfFollowees(int64_t uid,
+                                                  int64_t n) override {
+    return inner_.RecommendFollowersOfFollowees(uid, n);
+  }
+  Result<ValueRows> CurrentInfluence(int64_t uid, int64_t n) override {
+    return inner_.CurrentInfluence(uid, n);
+  }
+  Result<ValueRows> PotentialInfluence(int64_t uid, int64_t n) override {
+    return inner_.PotentialInfluence(uid, n);
+  }
+  Result<int64_t> ShortestPathLength(int64_t a, int64_t b,
+                                     uint32_t max_hops) override {
+    return inner_.ShortestPathLength(a, b, max_hops);
+  }
+  Status DropCaches() override { return inner_.DropCaches(); }
+
+  std::optional<ValueRow> first_dropped;
+  uint64_t drops = 0;
+
+ private:
+  MicroblogEngine& inner_;
+};
+
+class VerifyTest : public EnginePairTest {
+ protected:
+  void SetUp() override { Open(AgreementCase{101, 400, 8, 1.0, 0.3, false}); }
+};
+
+TEST_F(VerifyTest, DroppedRowIsTheFirstDivergenceOfItsKindOnly) {
+  DropLastRecFollowee broken(*ns_);
+  ParamUniverse universe(dataset_);
+  VerifyReport report = Verify(*ns_, broken, ReadSweep(universe, 7, 44));
+  ASSERT_GT(broken.drops, 0u);
+  ASSERT_EQ(11u, report.kinds.size());
+  for (const auto& [kind, tally] : report.kinds) {
+    uint64_t dropped = kind == CallKind::kRecFollowees ? broken.drops : 0;
+    EXPECT_EQ(tally.total - dropped, tally.agreed) << CallKindName(kind);
+    EXPECT_EQ(0u, tally.errors) << CallKindName(kind);
+  }
+
+  ASSERT_FALSE(report.ok());
+  const Divergence& d = *report.first_divergence;
+  EXPECT_EQ(CallKind::kRecFollowees, d.spec.kind);
+  EXPECT_TRUE(d.reference_status.ok() && d.target_status.ok());
+  // The two sorted row sets differ by exactly the dropped row.
+  ValueRows restored = d.target_rows;
+  restored.push_back(*broken.first_dropped);
+  SortRows(&restored);
+  EXPECT_EQ(d.reference_rows, restored);
+  EXPECT_NE(std::string::npos,
+            DivergenceToString(d).find("only in reference"))
+      << DivergenceToString(d);
+}
+
+TEST_F(VerifyTest, MatchingErrorsAgreeInTheirOwnTally) {
+  CallSpec unknown_tag;
+  unknown_tag.kind = CallKind::kTopCoTags;
+  unknown_tag.tag = "no_such_tag_zzz";
+  CallSpec follow;
+  follow.kind = CallKind::kFollow;
+  follow.b = 1;
+
+  // The bitmap engine refuses an unknown hashtag with NotFound, and a
+  // read-only engine refuses writes with NotImplemented.
+  VerifyReport alike = Verify(*bm_, *bm_, {unknown_tag, follow});
+  EXPECT_TRUE(alike.ok());
+  EXPECT_EQ(2u, alike.Total().agreed);
+  EXPECT_EQ(2u, alike.Total().errors);
+  EXPECT_EQ(1u, alike.kinds[CallKind::kTopCoTags].errors);
+
+  // The record store answers an unknown hashtag with no rows: an error
+  // on one side only is a divergence, not an error tally.
+  VerifyReport one_sided = Verify(*ns_, *bm_, {unknown_tag});
+  ASSERT_FALSE(one_sided.ok());
+  EXPECT_TRUE(one_sided.first_divergence->reference_status.ok());
+  EXPECT_TRUE(one_sided.first_divergence->target_status.IsNotFound());
+  EXPECT_EQ(0u, one_sided.Total().errors);
+  EXPECT_EQ(0u, one_sided.Total().agreed);
+}
 
 }  // namespace
 }  // namespace mbq::core

@@ -5,19 +5,19 @@
 #include <vector>
 
 #include "core/bitmap_engine.h"
+#include "core/calls.h"
 #include "core/engine.h"
 #include "core/nodestore_engine.h"
 #include "core/partition.h"
 #include "core/remote_engine.h"
 #include "core/shard_service.h"
-#include "core/workload.h"
 #include "obs/introspect.h"
 #include "obs/metrics.h"
 #include "obs/trace_context.h"
 #include "rpc/server.h"
 #include "storage/simulated_disk.h"
 #include "twitter/loaders.h"
-#include "util/rng.h"
+#include "verify_sweep.h"
 
 namespace mbq::core {
 namespace {
@@ -218,15 +218,6 @@ class ClusterAgreementTest : public ::testing::TestWithParam<ClusterCase> {
     remote_ = std::move(*remote);
   }
 
-  void ExpectSame(Result<ValueRows> a, Result<ValueRows> b,
-                  const std::string& what) {
-    ASSERT_TRUE(a.ok()) << what << ": " << a.status().ToString();
-    ASSERT_TRUE(b.ok()) << what << ": " << b.status().ToString();
-    SortRows(&*a);
-    SortRows(&*b);
-    EXPECT_EQ(*a, *b) << what;
-  }
-
   Dataset dataset_;
   std::unique_ptr<nodestore::GraphDb> db_;
   std::unique_ptr<MicroblogEngine> local_;
@@ -234,80 +225,16 @@ class ClusterAgreementTest : public ::testing::TestWithParam<ClusterCase> {
   std::unique_ptr<RemoteEngine> remote_;
 };
 
-/// The randomized differential sweep's call set (agreement_test.cc),
-/// pointed at the aggregation plane instead of a second local engine:
-/// the shards + merge must reproduce the single-process engine exactly.
+/// The randomized differential sweep (agreement_test.cc), pointed at
+/// the aggregation plane instead of a second local engine: the shards +
+/// merge must reproduce the single-process engine exactly.
 TEST_P(ClusterAgreementTest, AggregatedResultsMatchSingleProcess) {
   const uint64_t seed = GetParam().seed;
   SCOPED_TRACE("reproduce with seed=" + std::to_string(seed));
-  auto tags = HashtagsByUse(dataset_);
-  Rng rng(seed * 0x9E3779B97F4A7C15ull + 1);
-  const int64_t num_users = static_cast<int64_t>(dataset_.users.size());
-  const int64_t kAll = int64_t{1} << 30;
-
   constexpr int kCallsPerSeed = 25;
-  for (int call = 0; call < kCallsPerSeed; ++call) {
-    SCOPED_TRACE("call #" + std::to_string(call));
-    int64_t uid = static_cast<int64_t>(rng.NextBounded(num_users));
-    switch (rng.NextBounded(11)) {
-      case 0: {
-        int64_t threshold = static_cast<int64_t>(rng.NextBounded(30));
-        ExpectSame(local_->SelectUsersByFollowerCount(threshold),
-                   remote_->SelectUsersByFollowerCount(threshold), "Q1.1");
-        break;
-      }
-      case 1:
-        ExpectSame(local_->FolloweesOf(uid), remote_->FolloweesOf(uid),
-                   "Q2.1");
-        break;
-      case 2:
-        ExpectSame(local_->TweetsOfFollowees(uid),
-                   remote_->TweetsOfFollowees(uid), "Q2.2");
-        break;
-      case 3:
-        ExpectSame(local_->HashtagsUsedByFollowees(uid),
-                   remote_->HashtagsUsedByFollowees(uid), "Q2.3");
-        break;
-      case 4:
-        ExpectSame(local_->TopCoMentionedUsers(uid, kAll),
-                   remote_->TopCoMentionedUsers(uid, kAll), "Q3.1");
-        break;
-      case 5: {
-        std::string tag = tags.empty()
-                              ? "missing"
-                              : tags[rng.NextBounded(tags.size())].second;
-        ExpectSame(local_->TopCoOccurringHashtags(tag, kAll),
-                   remote_->TopCoOccurringHashtags(tag, kAll), "Q3.2");
-        break;
-      }
-      case 6:
-        ExpectSame(local_->RecommendFolloweesOfFollowees(uid, kAll),
-                   remote_->RecommendFolloweesOfFollowees(uid, kAll),
-                   "Q4.1");
-        break;
-      case 7:
-        ExpectSame(local_->RecommendFollowersOfFollowees(uid, kAll),
-                   remote_->RecommendFollowersOfFollowees(uid, kAll),
-                   "Q4.2");
-        break;
-      case 8:
-        ExpectSame(local_->CurrentInfluence(uid, kAll),
-                   remote_->CurrentInfluence(uid, kAll), "Q5.1");
-        break;
-      case 9:
-        ExpectSame(local_->PotentialInfluence(uid, kAll),
-                   remote_->PotentialInfluence(uid, kAll), "Q5.2");
-        break;
-      case 10: {
-        int64_t b = static_cast<int64_t>(rng.NextBounded(num_users));
-        auto la = local_->ShortestPathLength(uid, b, 3);
-        auto lb = remote_->ShortestPathLength(uid, b, 3);
-        ASSERT_TRUE(la.ok() && lb.ok());
-        EXPECT_EQ(*la, *lb) << "Q6.1 " << uid << "->" << b;
-        break;
-      }
-    }
-  }
+  ParamUniverse universe(dataset_);
+  ExpectAgreement(
+      Verify(*local_, *remote_, ReadSweep(universe, seed, kCallsPerSeed)), 11);
 }
 
 /// An unknown hashtag must answer the way a single-process engine of the

@@ -500,9 +500,15 @@ TEST(ParamUniverseTest, MaterializedCallsRespectTemplateShapes) {
     entry.n = 17;
     CallSpec spec = MaterializeCall(entry, universe, rng);
     EXPECT_EQ(spec.kind, info.kind) << info.name;
-    if (info.uses_pair) EXPECT_NE(spec.a, spec.b) << info.name;
-    if (info.uses_n) EXPECT_EQ(spec.n, 17) << info.name;
-    if (info.uses_tag) EXPECT_FALSE(spec.tag.empty()) << info.name;
+    if (info.uses_pair) {
+      EXPECT_NE(spec.a, spec.b) << info.name;
+    }
+    if (info.uses_n) {
+      EXPECT_EQ(spec.n, 17) << info.name;
+    }
+    if (info.uses_tag) {
+      EXPECT_FALSE(spec.tag.empty()) << info.name;
+    }
     if (info.fixed_hops != 0) {
       EXPECT_EQ(spec.max_hops, info.fixed_hops) << info.name;
     }

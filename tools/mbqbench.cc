@@ -297,10 +297,10 @@ Result<std::unique_ptr<mbq::core::MicroblogEngine>> DialRemote(
   return engine;
 }
 
-/// Differential check: replay `calls` requests from the mix's client-0
-/// stream on both the target engine and a local single-process
-/// nodestore reference, comparing canonical digests. Returns the number
-/// of divergent calls.
+/// Differential check: the first `calls` requests of the mix's client-0
+/// stream, run through core::Verify on the target engine and on a local
+/// single-process nodestore reference. Prints one verdict per call kind
+/// and returns the number of divergent calls.
 ///
 /// Mixes with write templates still verify — the reference is opened
 /// writable and both engines apply the identical interleaved stream, so
@@ -309,10 +309,10 @@ Result<std::unique_ptr<mbq::core::MicroblogEngine>> DialRemote(
 /// deterministic under the single verify thread). Read results are
 /// non-deterministic *across* verify sizes and runs with different
 /// streams, not within one.
-int RunVerify(mbq::core::MicroblogEngine& target, const WorkloadMix& mix,
-              const mbq::core::ParamUniverse& universe,
-              const mbq::twitter::Dataset& dataset, uint64_t seed,
-              int calls) {
+uint64_t RunVerify(mbq::core::MicroblogEngine& target, const WorkloadMix& mix,
+                   const mbq::core::ParamUniverse& universe,
+                   const mbq::twitter::Dataset& dataset, uint64_t seed,
+                   int calls) {
   using namespace mbq;        // NOLINT(build/namespaces)
   mbq::bench::BenchOptions plain;
   LocalStores stores;
@@ -326,51 +326,28 @@ int RunVerify(mbq::core::MicroblogEngine& target, const WorkloadMix& mix,
     return calls;  // all calls unverifiable
   }
   mbq::bench::driver::CallStream stream(mix, universe, seed, /*client=*/0);
-  int failures = 0;
-  std::vector<uint64_t> agreed(mix.entries.size(), 0);
-  std::vector<uint64_t> total(mix.entries.size(), 0);
-  for (int i = 0; i < calls; ++i) {
-    auto [entry_index, spec] = stream.Next();
-    total[entry_index] += 1;
-    Result<core::CallOutcome> want = core::DispatchCall(**reference, spec);
-    Result<core::CallOutcome> got = core::DispatchCall(target, spec);
-    if (!want.ok() || !got.ok()) {
-      // Matching error codes count as agreement (e.g. unknown hashtag).
-      if (want.status().code() == got.status().code()) {
-        agreed[entry_index] += 1;
-        continue;
-      }
-      ++failures;
-      std::fprintf(stderr, "mbqbench: DIVERGED %s: reference=%s target=%s\n",
-                   core::CallSpecToString(spec).c_str(),
-                   want.status().ToString().c_str(),
-                   got.status().ToString().c_str());
-      continue;
+  std::vector<core::CallSpec> specs;
+  specs.reserve(calls);
+  for (int i = 0; i < calls; ++i) specs.push_back(stream.Next().second);
+  core::VerifyReport report = core::Verify(**reference, target, specs);
+  for (const auto& [kind, tally] : report.kinds) {
+    std::printf("verify %-5s %4llu/%llu %s%s", core::CallKindName(kind),
+                static_cast<unsigned long long>(tally.agreed),
+                static_cast<unsigned long long>(tally.total),
+                tally.agreed == tally.total ? "ok" : "DIVERGED",
+                core::IsWriteCall(kind) ? " (write)" : "");
+    if (tally.errors != 0) {
+      std::printf(" (%llu failed alike on both)",
+                  static_cast<unsigned long long>(tally.errors));
     }
-    if (*want != *got) {
-      ++failures;
-      std::fprintf(stderr,
-                   "mbqbench: DIVERGED %s: reference %llu rows, target "
-                   "%llu rows\n",
-                   core::CallSpecToString(spec).c_str(),
-                   static_cast<unsigned long long>(want->rows),
-                   static_cast<unsigned long long>(got->rows));
-      continue;
-    }
-    agreed[entry_index] += 1;
+    std::printf("\n");
   }
-  for (size_t i = 0; i < mix.entries.size(); ++i) {
-    if (total[i] == 0) continue;
-    const mbq::bench::driver::TemplateInfo* info =
-        mbq::bench::driver::FindTemplate(mix.entries[i].template_name);
-    std::printf("verify %-22s %4llu/%llu %s%s\n",
-                mix.entries[i].template_name.c_str(),
-                static_cast<unsigned long long>(agreed[i]),
-                static_cast<unsigned long long>(total[i]),
-                agreed[i] == total[i] ? "ok" : "DIVERGED",
-                info != nullptr && info->is_write ? " (write)" : "");
+  if (!report.ok()) {
+    std::fprintf(stderr, "mbqbench: DIVERGED %s\n",
+                 core::DivergenceToString(*report.first_divergence).c_str());
   }
-  return failures;
+  core::VerifyTally total = report.Total();
+  return total.total - total.agreed;
 }
 
 std::string FormatMicros(double micros) {
@@ -518,13 +495,13 @@ int main(int argc, char** argv) {
     }
   }
 
-  int verify_failures = 0;
+  uint64_t verify_failures = 0;
   if (args.verify > 0) {
     verify_failures = RunVerify(**engine, *mix, universe, dataset, args.seed,
                                 args.verify);
     if (verify_failures != 0) {
-      std::fprintf(stderr, "mbqbench: verify FAILED: %d divergent calls\n",
-                   verify_failures);
+      std::fprintf(stderr, "mbqbench: verify FAILED: %llu divergent calls\n",
+                   static_cast<unsigned long long>(verify_failures));
     } else {
       std::fprintf(stderr,
                    "mbqbench: verify OK: target agrees with the local "

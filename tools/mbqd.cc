@@ -1,13 +1,13 @@
 // mbqd — the sharded serving plane's daemon (docs/CLUSTER.md).
 //
-// One binary, four roles:
+// One binary, three roles:
 //
 //   shard       Generate the twitter dataset deterministically, carve out
 //               this shard's slice (core::MakeShardSlice), load it into a
 //               local engine and serve the RPC protocol on --port.
 //
-//                 ./mbqd --port=7001 --shards=2 --shard-id=0 \
-//                        [--users=N --seed=S --engine=nodestore|bitmap \
+//                 ./mbqd --port=7001 --shards=2 --shard-id=0
+//                        [--users=N --seed=S --engine=nodestore|bitmap
 //                         --partition=hash|range --threads=T --serve[=P]]
 //
 //   aggregator  Dial N shards, expose the same RPC surface on --port and
@@ -15,18 +15,8 @@
 //               Presents itself as a single unpartitioned shard, so
 //               clients cannot tell it from a whole-dataset daemon.
 //
-//                 ./mbqd --aggregate --port=7000 \
+//                 ./mbqd --aggregate --port=7000
 //                        --shard=127.0.0.1:7001 --shard=127.0.0.1:7002
-//
-//   verify      Build the full dataset in-process as the reference
-//               engine, run every Table 2 call (fixed anchors plus the
-//               randomized differential call set) through the remote
-//               topology, and compare results bit-for-bit (after the
-//               canonical SortRows). Exit 0 on agreement, 1 on any
-//               divergence.
-//
-//                 ./mbqd --verify --users=N --seed=S \
-//                        --shard=127.0.0.1:7000 [--calls=M]
 //
 //   probe       Liveness-check one daemon. Tries the stats server's
 //               /healthz endpoint first (cheap: no dataset hello, no
@@ -35,11 +25,14 @@
 //
 //                 ./mbqd --probe=127.0.0.1:7001
 //
+// `mbqbench --verify --shard=H:P` checks a running topology against a
+// single-process engine (docs/CLUSTER.md, "Verification and smoke").
+//
 // Every role honours MBQ_STATS_PORT (obs::MaybeServeFromEnv) and shard /
 // aggregator additionally honour --serve[=PORT] for the embedded stats
 // HTTP server (/ /metrics /metrics.json /queries /slow /trace).
 //
-// Exit status: 0 success, 1 verify divergence, 2 usage or startup error.
+// Exit status: 0 success, 2 usage or startup error.
 
 #include <csignal>
 #include <cstdio>
@@ -55,7 +48,6 @@
 #include "core/partition.h"
 #include "core/remote_engine.h"
 #include "core/shard_service.h"
-#include "core/workload.h"
 #include "cypher/session.h"
 #include "nodestore/graph_db.h"
 #include "obs/http_client.h"
@@ -65,16 +57,14 @@
 #include "storage/simulated_disk.h"
 #include "twitter/dataset.h"
 #include "twitter/loaders.h"
-#include "util/rng.h"
 
 namespace {
 
 using mbq::Result;
-using mbq::Rng;
 using mbq::Status;
 
 struct Args {
-  enum class Role { kShard, kAggregate, kVerify, kProbe } role = Role::kShard;
+  enum class Role { kShard, kAggregate, kProbe } role = Role::kShard;
   uint16_t port = 0;  // 0 = ephemeral, printed at startup
   uint32_t shards = 1;
   uint32_t shard_id = 0;
@@ -83,7 +73,6 @@ struct Args {
   std::string engine = "nodestore";  // nodestore|bitmap
   std::string partition = "hash";    // hash|range
   uint32_t threads = 1;
-  int calls = 25;  // randomized verify calls
   bool serve = false;
   uint16_t serve_port = 0;
   std::string probe;  // --probe=H:P
@@ -96,14 +85,12 @@ void Usage() {
       "usage: mbqd --port=N --shards=K --shard-id=I [options]      shard\n"
       "       mbqd --aggregate --port=N --shard=H:P [--shard=...]  "
       "aggregator\n"
-      "       mbqd --verify --shard=H:P [--shard=...] [options]    verify\n"
       "       mbqd --probe=H:P                                     probe\n"
       "options:\n"
       "  --users=N --seed=S          dataset shape (default 20000 / 42)\n"
       "  --engine=nodestore|bitmap   shard engine (default nodestore)\n"
       "  --partition=hash|range      user partitioning (default hash)\n"
       "  --threads=T                 engine worker threads (default 1)\n"
-      "  --calls=M                   randomized verify calls (default 25)\n"
       "  --serve[=PORT]              embedded stats HTTP server (/metrics,\n"
       "                              /metrics.json, /queries, /slow, /trace)\n"
       "environment: MBQ_STATS_PORT=P also starts the stats server\n");
@@ -118,8 +105,6 @@ bool ParseArgs(int argc, char** argv, Args* args) {
     };
     if (arg == "--aggregate") {
       args->role = Args::Role::kAggregate;
-    } else if (arg == "--verify") {
-      args->role = Args::Role::kVerify;
     } else if (const char* v = value_of("--probe=")) {
       args->role = Args::Role::kProbe;
       args->probe = v;
@@ -145,8 +130,6 @@ bool ParseArgs(int argc, char** argv, Args* args) {
       args->partition = v;
     } else if (const char* v = value_of("--threads=")) {
       args->threads = static_cast<uint32_t>(std::strtoul(v, nullptr, 10));
-    } else if (const char* v = value_of("--calls=")) {
-      args->calls = std::atoi(v);
     } else if (const char* v = value_of("--serve=")) {
       args->serve = true;
       args->serve_port = static_cast<uint16_t>(std::strtoul(v, nullptr, 10));
@@ -160,15 +143,6 @@ bool ParseArgs(int argc, char** argv, Args* args) {
     }
   }
   return true;
-}
-
-/// Shard and verify must build bit-identical datasets; one spec builder
-/// keeps them honest.
-mbq::twitter::DatasetSpec SpecFromArgs(const Args& args) {
-  mbq::twitter::DatasetSpec spec;
-  spec.num_users = args.users;
-  spec.seed = args.seed;
-  return spec;
 }
 
 /// Blocks until SIGINT/SIGTERM. The RPC and stats servers run their own
@@ -220,7 +194,12 @@ int RunShard(const Args& args) {
     return 2;
   }
 
-  twitter::Dataset full = twitter::GenerateDataset(SpecFromArgs(args));
+  // The same spec as mbqbench's, so a verifying client builds a
+  // bit-identical reference from --users and --seed.
+  twitter::DatasetSpec spec;
+  spec.num_users = args.users;
+  spec.seed = args.seed;
+  twitter::Dataset full = twitter::GenerateDataset(spec);
   Partitioner partitioner(*kind, args.shards, args.users);
   SliceCounts counts;
   twitter::Dataset slice =
@@ -396,195 +375,6 @@ int RunAggregator(const Args& args) {
   return 0;
 }
 
-int RunVerify(const Args& args) {
-  using namespace mbq;        // NOLINT(build/namespaces)
-  using namespace mbq::core;  // NOLINT(build/namespaces)
-
-  mbq::obs::SetProcessRole("verify");
-  if (args.shard_addresses.empty()) {
-    std::fprintf(stderr, "mbqd: --verify needs at least one --shard=\n");
-    return 2;
-  }
-
-  // Reference: the full dataset in one local nodestore engine.
-  twitter::Dataset full = twitter::GenerateDataset(SpecFromArgs(args));
-  nodestore::GraphDbOptions ndb;
-  ndb.disk_profile = storage::DiskProfile::Instant();
-  nodestore::GraphDb db(ndb);
-  Result<twitter::NodestoreHandles> handles =
-      twitter::LoadIntoNodestore(full, &db);
-  if (!handles.ok()) {
-    std::fprintf(stderr, "mbqd: reference load failed: %s\n",
-                 handles.status().ToString().c_str());
-    return 2;
-  }
-  EngineOptions local_options;
-  local_options.db = &db;
-  Result<std::unique_ptr<MicroblogEngine>> local =
-      OpenEngine(EngineKind::kNodestore, local_options);
-  if (!local.ok()) {
-    std::fprintf(stderr, "mbqd: reference engine failed: %s\n",
-                 local.status().ToString().c_str());
-    return 2;
-  }
-
-  // Candidate: the remote topology (shards directly, or one aggregator).
-  EngineOptions remote_options;
-  remote_options.shard_addresses = args.shard_addresses;
-  Result<std::unique_ptr<MicroblogEngine>> remote =
-      Status::Internal("unreached");
-  for (int attempt = 0; attempt < 120; ++attempt) {
-    remote = OpenEngine(EngineKind::kRemote, remote_options);
-    if (remote.ok() || !remote.status().IsIoError()) break;
-    struct timespec ts = {0, 250 * 1000 * 1000};
-    nanosleep(&ts, nullptr);
-  }
-  if (!remote.ok()) {
-    std::fprintf(stderr, "mbqd: cannot reach shards: %s\n",
-                 remote.status().ToString().c_str());
-    return 2;
-  }
-
-  int failures = 0;
-  auto expect_rows = [&](Result<ValueRows> want, Result<ValueRows> got,
-                         const std::string& what) {
-    if (!want.ok() || !got.ok()) {
-      // NotFound-vs-NotFound is agreement (e.g. unknown hashtag).
-      if (want.status().code() == got.status().code()) return;
-      ++failures;
-      std::fprintf(stderr, "mbqd: DIVERGED %s: local=%s remote=%s\n",
-                   what.c_str(), want.status().ToString().c_str(),
-                   got.status().ToString().c_str());
-      return;
-    }
-    SortRows(&*want);
-    SortRows(&*got);
-    if (*want != *got) {
-      ++failures;
-      std::fprintf(stderr,
-                   "mbqd: DIVERGED %s: local %zu rows, remote %zu rows\n",
-                   what.c_str(), want->size(), got->size());
-    }
-  };
-
-  MicroblogEngine& ref = **local;
-  MicroblogEngine& agg = **remote;
-  const int64_t num_users = static_cast<int64_t>(full.users.size());
-  const int64_t kAll = int64_t{1} << 30;
-
-  // Fixed sweep: every call once with representative anchors.
-  auto by_mentions = UsersByMentionCount(full);
-  int64_t hot = by_mentions.empty() ? 0 : by_mentions.back().second;
-  auto tags = HashtagsByUse(full);
-  expect_rows(ref.SelectUsersByFollowerCount(10),
-              agg.SelectUsersByFollowerCount(10), "Q1.1");
-  for (int64_t uid : {int64_t{0}, num_users / 2}) {
-    std::string at = "@" + std::to_string(uid);
-    expect_rows(ref.FolloweesOf(uid), agg.FolloweesOf(uid), "Q2.1" + at);
-    expect_rows(ref.TweetsOfFollowees(uid), agg.TweetsOfFollowees(uid),
-                "Q2.2" + at);
-    expect_rows(ref.HashtagsUsedByFollowees(uid),
-                agg.HashtagsUsedByFollowees(uid), "Q2.3" + at);
-    expect_rows(ref.RecommendFolloweesOfFollowees(uid, kAll),
-                agg.RecommendFolloweesOfFollowees(uid, kAll), "Q4.1" + at);
-    expect_rows(ref.RecommendFollowersOfFollowees(uid, kAll),
-                agg.RecommendFollowersOfFollowees(uid, kAll), "Q4.2" + at);
-  }
-  expect_rows(ref.TopCoMentionedUsers(hot, kAll),
-              agg.TopCoMentionedUsers(hot, kAll), "Q3.1");
-  if (!tags.empty()) {
-    expect_rows(ref.TopCoOccurringHashtags(tags.back().second, kAll),
-                agg.TopCoOccurringHashtags(tags.back().second, kAll),
-                "Q3.2");
-  }
-  expect_rows(ref.CurrentInfluence(hot, kAll), agg.CurrentInfluence(hot, kAll),
-              "Q5.1");
-  expect_rows(ref.PotentialInfluence(hot, kAll),
-              agg.PotentialInfluence(hot, kAll), "Q5.2");
-
-  // Randomized sweep: the differential test's call mix.
-  Rng rng(args.seed * 0x9E3779B97F4A7C15ull + 1);
-  for (int call = 0; call < args.calls; ++call) {
-    std::string label = "call#" + std::to_string(call);
-    int64_t uid = static_cast<int64_t>(rng.NextBounded(num_users));
-    switch (rng.NextBounded(11)) {
-      case 0: {
-        int64_t threshold = static_cast<int64_t>(rng.NextBounded(30));
-        expect_rows(ref.SelectUsersByFollowerCount(threshold),
-                    agg.SelectUsersByFollowerCount(threshold),
-                    label + " Q1.1");
-        break;
-      }
-      case 1:
-        expect_rows(ref.FolloweesOf(uid), agg.FolloweesOf(uid),
-                    label + " Q2.1");
-        break;
-      case 2:
-        expect_rows(ref.TweetsOfFollowees(uid), agg.TweetsOfFollowees(uid),
-                    label + " Q2.2");
-        break;
-      case 3:
-        expect_rows(ref.HashtagsUsedByFollowees(uid),
-                    agg.HashtagsUsedByFollowees(uid), label + " Q2.3");
-        break;
-      case 4:
-        expect_rows(ref.TopCoMentionedUsers(uid, kAll),
-                    agg.TopCoMentionedUsers(uid, kAll), label + " Q3.1");
-        break;
-      case 5: {
-        std::string tag = tags.empty()
-                              ? "missing"
-                              : tags[rng.NextBounded(tags.size())].second;
-        expect_rows(ref.TopCoOccurringHashtags(tag, kAll),
-                    agg.TopCoOccurringHashtags(tag, kAll), label + " Q3.2");
-        break;
-      }
-      case 6:
-        expect_rows(ref.RecommendFolloweesOfFollowees(uid, kAll),
-                    agg.RecommendFolloweesOfFollowees(uid, kAll),
-                    label + " Q4.1");
-        break;
-      case 7:
-        expect_rows(ref.RecommendFollowersOfFollowees(uid, kAll),
-                    agg.RecommendFollowersOfFollowees(uid, kAll),
-                    label + " Q4.2");
-        break;
-      case 8:
-        expect_rows(ref.CurrentInfluence(uid, kAll),
-                    agg.CurrentInfluence(uid, kAll), label + " Q5.1");
-        break;
-      case 9:
-        expect_rows(ref.PotentialInfluence(uid, kAll),
-                    agg.PotentialInfluence(uid, kAll), label + " Q5.2");
-        break;
-      case 10: {
-        int64_t b = static_cast<int64_t>(rng.NextBounded(num_users));
-        Result<int64_t> want = ref.ShortestPathLength(uid, b, 3);
-        Result<int64_t> got = agg.ShortestPathLength(uid, b, 3);
-        if (!want.ok() || !got.ok() || *want != *got) {
-          ++failures;
-          std::fprintf(stderr, "mbqd: DIVERGED %s Q6.1 %lld->%lld\n",
-                       label.c_str(), static_cast<long long>(uid),
-                       static_cast<long long>(b));
-        }
-        break;
-      }
-    }
-  }
-
-  if (failures != 0) {
-    std::fprintf(stderr, "mbqd: verify FAILED: %d divergent calls\n",
-                 failures);
-    return 1;
-  }
-  std::fprintf(stderr,
-               "mbqd: verify OK: remote agrees with the single-process "
-               "engine on all calls (users=%llu seed=%llu)\n",
-               static_cast<unsigned long long>(args.users),
-               static_cast<unsigned long long>(args.seed));
-  return 0;
-}
-
 int RunProbe(const Args& args) {
   using namespace mbq;        // NOLINT(build/namespaces)
   using namespace mbq::core;  // NOLINT(build/namespaces)
@@ -634,7 +424,6 @@ int main(int argc, char** argv) {
   switch (args.role) {
     case Args::Role::kShard: return RunShard(args);
     case Args::Role::kAggregate: return RunAggregator(args);
-    case Args::Role::kVerify: return RunVerify(args);
     case Args::Role::kProbe: return RunProbe(args);
   }
   return 2;
