@@ -2,11 +2,15 @@
 
 #include <cstring>
 
+#include "core/calls.h"
+#include "core/engine.h"
+#include "core/workload.h"
 #include "storage/buffer_cache.h"
 #include "storage/extent_allocator.h"
 #include "storage/simulated_disk.h"
 #include "storage/storage_accountant.h"
 #include "storage/wal.h"
+#include "twitter/loaders.h"
 #include "util/clock.h"
 
 namespace mbq::storage {
@@ -434,6 +438,150 @@ TEST(FaultInjectionTest, FlushSurfacesWriteFailure) {
   EXPECT_TRUE(cache.FlushAll().IsIoError());
   disk.ClearFailure();
   EXPECT_TRUE(cache.FlushAll().ok());
+}
+
+}  // namespace
+}  // namespace mbq::storage
+
+namespace mbq::storage {
+namespace {
+
+// ----------------------------------------------------------- StorageModel
+
+// The modelled I/O of both stores, pinned end to end: a fixed small
+// dataset loaded on the HDD profile through caches small enough to evict
+// (the bitmap store stalls to flush its full cache, and one record store
+// writes through), then a cold cache and one sequential run of the Table 2
+// anchors. The counters are exact, so any change to how pages are
+// allocated, cached, evicted, written back or charged moves them.
+struct ModelledIo {
+  BufferCacheStats cache;
+  DiskStats disk;
+  uint64_t disk_size_bytes = 0;
+};
+
+class StorageModelTest : public ::testing::Test {
+ protected:
+  static constexpr uint64_t kCacheBytes = 32 * kPageSize;
+
+  static void SetUpTestSuite() {
+    twitter::DatasetSpec spec;
+    spec.num_users = 300;
+    spec.follows_per_user = 6;
+    spec.mentions_per_tweet = 1.2;
+    spec.active_user_fraction = 0.3;
+    spec.tweets_per_active_user = 5;
+    spec.seed = 2015;
+    dataset_ = new twitter::Dataset(twitter::GenerateDataset(spec));
+  }
+  static void TearDownTestSuite() {
+    delete dataset_;
+    dataset_ = nullptr;
+  }
+
+  /// One call per Table 2 query, at the anchors bench_table2 picks.
+  static std::vector<core::CallSpec> Table2Anchors() {
+    auto by_mentions = core::UsersByMentionCount(*dataset_);
+    auto by_followees = core::UsersByFolloweeCount(*dataset_);
+    auto tags = core::HashtagsByUse(*dataset_);
+    const int64_t a = by_followees[by_followees.size() * 3 / 4].second;
+    const int64_t b = by_followees[by_followees.size() / 3].second;
+    const int64_t mentioned = by_mentions.back().second;
+    std::vector<core::CallSpec> specs;
+    auto add = [&specs](core::CallKind kind, int64_t uid) -> core::CallSpec& {
+      core::CallSpec& spec = specs.emplace_back();
+      spec.kind = kind;
+      spec.a = uid;
+      return spec;
+    };
+    add(core::CallKind::kSelectUsers, 0).threshold = 10;
+    add(core::CallKind::kFollowees, a);
+    add(core::CallKind::kTweetsOfFollowees, a);
+    add(core::CallKind::kHashtagsOfFollowees, a);
+    add(core::CallKind::kTopCoMentioned, mentioned);
+    add(core::CallKind::kTopCoTags, 0).tag = tags.back().second;
+    add(core::CallKind::kRecFollowees, a);
+    add(core::CallKind::kRecFollowers, a);
+    add(core::CallKind::kCurrentInfluence, mentioned);
+    add(core::CallKind::kPotentialInfluence, mentioned);
+    add(core::CallKind::kShortestPath, a).b = b;
+    return specs;
+  }
+
+  /// Drops `engine`'s caches, then runs every anchor once, sequentially.
+  static void RunAnchorsCold(core::MicroblogEngine& engine) {
+    engine.SetThreads(1);
+    ASSERT_TRUE(engine.DropCaches().ok());
+    for (const core::CallSpec& spec : Table2Anchors()) {
+      auto rows = core::RunCall(engine, spec);
+      ASSERT_TRUE(rows.ok()) << core::CallSpecToString(spec) << ": "
+                             << rows.status().ToString();
+    }
+  }
+
+  static void ExpectModelledIo(const ModelledIo& got, const ModelledIo& want) {
+    EXPECT_EQ(got.cache.hits, want.cache.hits);
+    EXPECT_EQ(got.cache.misses, want.cache.misses);
+    EXPECT_EQ(got.cache.evictions, want.cache.evictions);
+    EXPECT_EQ(got.cache.pages_flushed, want.cache.pages_flushed);
+    EXPECT_EQ(got.cache.flush_stalls, want.cache.flush_stalls);
+    EXPECT_EQ(got.disk.page_reads, want.disk.page_reads);
+    EXPECT_EQ(got.disk.page_writes, want.disk.page_writes);
+    EXPECT_EQ(got.disk.seeks, want.disk.seeks);
+    EXPECT_EQ(got.disk.busy_nanos, want.disk.busy_nanos);
+    EXPECT_EQ(got.disk_size_bytes, want.disk_size_bytes);
+  }
+
+  static ModelledIo RecordStoreIo(bool write_through) {
+    nodestore::GraphDbOptions options;
+    options.cache_bytes = kCacheBytes;
+    options.write_through = write_through;
+    nodestore::GraphDb db(options);
+    EXPECT_TRUE(twitter::LoadIntoNodestore(*dataset_, &db).ok());
+    core::EngineOptions engine_options;
+    engine_options.db = &db;
+    auto engine = core::OpenEngine(core::EngineKind::kNodestore, engine_options);
+    EXPECT_TRUE(engine.ok()) << engine.status().ToString();
+    if (engine.ok()) RunAnchorsCold(**engine);
+    return ModelledIo{db.cache_stats(), db.disk_stats(), db.DiskSizeBytes()};
+  }
+
+  static twitter::Dataset* dataset_;
+};
+
+twitter::Dataset* StorageModelTest::dataset_ = nullptr;
+
+TEST_F(StorageModelTest, RecordStoreWriteBack) {
+  ExpectModelledIo(RecordStoreIo(/*write_through=*/false),
+                   ModelledIo{{65580, 59, 39, 44, 0},
+                              {59, 49, 19, 82'970'000},
+                              647'168});
+}
+
+TEST_F(StorageModelTest, RecordStoreWriteThrough) {
+  ExpectModelledIo(RecordStoreIo(/*write_through=*/true),
+                   ModelledIo{{65580, 59, 39, 17991, 0},
+                              {59, 17996, 4980, 21'183'260'000},
+                              647'168});
+}
+
+TEST_F(StorageModelTest, BitmapStoreFlushesWhenFull) {
+  bitmapstore::GraphOptions options;
+  options.cache_bytes = kCacheBytes;
+  bitmapstore::Graph graph(options);
+  auto handles = twitter::LoadIntoBitmapstore(*dataset_, &graph);
+  ASSERT_TRUE(handles.ok()) << handles.status().ToString();
+  core::EngineOptions engine_options;
+  engine_options.graph = &graph;
+  engine_options.handles = &*handles;
+  auto engine = core::OpenEngine(core::EngineKind::kBitmap, engine_options);
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  RunAnchorsCold(**engine);
+  ExpectModelledIo(
+      ModelledIo{graph.cache_stats(), graph.disk_stats(), graph.DiskSizeBytes()},
+      ModelledIo{{11684, 48, 68, 88, 2},
+                 {48, 111, 29, 126'650'000},
+                 1'515'520});
 }
 
 }  // namespace
