@@ -57,6 +57,8 @@ Graph::Graph(GraphOptions options) : options_(options) {
                     static_cast<double>(cache.pages_flushed), "pages");
         sink->Gauge("bitmapstore.page_cache.flush_stalls",
                     static_cast<double>(cache.flush_stalls), "events");
+        sink->Gauge("bitmapstore.page_cache.resident_bytes",
+                    static_cast<double>(cache_->resident_bytes()), "bytes");
         const storage::DiskStats& disk = disk_->stats();
         sink->Gauge("bitmapstore.disk.page_reads",
                     static_cast<double>(disk.page_reads), "pages");
@@ -66,6 +68,8 @@ Graph::Graph(GraphOptions options) : options_(options) {
                     "seeks");
         sink->Gauge("bitmapstore.disk.busy_nanos",
                     static_cast<double>(disk.busy_nanos), "ns");
+        sink->Gauge("bitmapstore.disk.resident_bytes",
+                    static_cast<double>(disk_->ResidentBytes()), "bytes");
         sink->Gauge("bitmapstore.nodes", static_cast<double>(num_nodes_),
                     "nodes");
         sink->Gauge("bitmapstore.edges", static_cast<double>(num_edges_),

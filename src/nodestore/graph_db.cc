@@ -105,6 +105,8 @@ GraphDb::GraphDb(GraphDbOptions options) : options_(options) {
                     static_cast<double>(cache.pages_flushed), "pages");
         sink->Gauge("nodestore.page_cache.flush_stalls",
                     static_cast<double>(cache.flush_stalls), "events");
+        sink->Gauge("nodestore.page_cache.resident_bytes",
+                    static_cast<double>(cache_->resident_bytes()), "bytes");
         sink->Gauge("nodestore.wal.syncs",
                     static_cast<double>(wal_->syncs()), "syncs");
         sink->Gauge("nodestore.wal.pages_written",
@@ -122,6 +124,8 @@ GraphDb::GraphDb(GraphDbOptions options) : options_(options) {
                     "seeks");
         sink->Gauge("nodestore.disk.busy_nanos",
                     static_cast<double>(disk.busy_nanos), "ns");
+        sink->Gauge("nodestore.disk.resident_bytes",
+                    static_cast<double>(disk_->ResidentBytes()), "bytes");
         sink->Gauge("nodestore.record_reads",
                     static_cast<double>(db_hits_.total()), "records");
         sink->Gauge("nodestore.nodes", static_cast<double>(num_nodes_),

@@ -301,6 +301,8 @@ class GraphDb {
   std::unique_ptr<storage::SimulatedDisk> wal_disk_;
   std::unique_ptr<storage::Wal> wal_;
   std::unique_ptr<storage::ExtentAllocator> extents_;
+  // Property-index streams: byteless pages beside the record files' byte
+  // pages in the same cache and on the same disk.
   std::unique_ptr<storage::StorageAccountant> accountant_;
 
   // Relationship-store access, indirected so records can live either in

@@ -1,6 +1,8 @@
 #include "storage/buffer_cache.h"
 
 #include <algorithm>
+#include <cstring>
+#include <string>
 
 #include "util/logging.h"
 
@@ -31,17 +33,17 @@ void PageRef::Release() {
   }
 }
 
-// A pinned frame cannot be evicted or have its data vector resized, so
-// data()/page_id() need no lock — concurrent pinned readers of the same
-// page are plain const reads.
+// A pinned frame cannot be evicted and its buffer, once allocated, is
+// never freed or replaced, so data()/page_id() need no lock — concurrent
+// pinned readers of the same page are plain const reads.
 uint8_t* PageRef::data() {
   MBQ_CHECK(cache_ != nullptr);
-  return cache_->shards_[shard_]->frames[frame_].data.data();
+  return cache_->shards_[shard_]->frames[frame_].data.get();
 }
 
 const uint8_t* PageRef::data() const {
   MBQ_CHECK(cache_ != nullptr);
-  return cache_->shards_[shard_]->frames[frame_].data.data();
+  return cache_->shards_[shard_]->frames[frame_].data.get();
 }
 
 PageId PageRef::page_id() const {
@@ -53,14 +55,8 @@ void PageRef::MarkDirty() {
   MBQ_CHECK(cache_ != nullptr);
   BufferCache::Shard& s = *cache_->shards_[shard_];
   util::ScopedLock lock(s.mu);
-  BufferCache::Frame& frame = s.frames[frame_];
-  if (cache_->options_.write_policy == WritePolicy::kWriteThrough) {
-    Status st = cache_->disk_->WritePage(frame.page_id, frame.data.data());
-    MBQ_CHECK(st.ok());
-    ++s.stats.pages_flushed;
-  } else {
-    frame.dirty = true;
-  }
+  Status st = cache_->DirtyLocked(s, s.frames[frame_]);
+  MBQ_CHECK(st.ok());
 }
 
 BufferCache::BufferCache(SimulatedDisk* disk, BufferCacheOptions options)
@@ -80,34 +76,26 @@ BufferCache::BufferCache(SimulatedDisk* disk, BufferCacheOptions options)
     shard->frames.resize(cap);
     shard->free_frames.reserve(cap);
     for (size_t i = 0; i < cap; ++i) {
-      shard->frames[i].data.resize(kPageSize);
       shard->free_frames.push_back(cap - 1 - i);
     }
     shards_.push_back(std::move(shard));
   }
 }
 
-void BufferCache::TouchLocked(Shard& s, size_t frame) {
-  Frame& f = s.frames[frame];
+void BufferCache::UnlinkLocked(Shard& s, Frame& f) {
   if (f.in_lru) {
     s.lru.erase(f.lru_pos);
     f.in_lru = false;
   }
+}
+
+void BufferCache::RelinkLocked(Shard& s, size_t frame) {
+  Frame& f = s.frames[frame];
   if (f.pins == 0) {
     s.lru.push_front(frame);
     f.lru_pos = s.lru.begin();
     f.in_lru = true;
   }
-}
-
-PageRef BufferCache::PinLocked(Shard& s, size_t shard_index, size_t frame) {
-  Frame& f = s.frames[frame];
-  if (f.in_lru) {
-    s.lru.erase(f.lru_pos);
-    f.in_lru = false;
-  }
-  ++f.pins;
-  return PageRef(this, shard_index, frame);
 }
 
 void BufferCache::Unpin(size_t shard, size_t frame) {
@@ -116,17 +104,25 @@ void BufferCache::Unpin(size_t shard, size_t frame) {
   Frame& f = s.frames[frame];
   MBQ_CHECK(f.pins > 0);
   --f.pins;
-  if (f.pins == 0) {
-    s.lru.push_front(frame);
-    f.lru_pos = s.lru.begin();
-    f.in_lru = true;
+  RelinkLocked(s, frame);
+}
+
+Status BufferCache::DirtyLocked(Shard& s, Frame& f) {
+  if (options_.write_policy == WritePolicy::kWriteBack) {
+    f.dirty = true;
+    return Status::OK();
   }
+  MBQ_RETURN_IF_ERROR(
+      disk_->WritePage(f.page_id, f.bytes ? f.data.get() : nullptr));
+  ++s.stats.pages_flushed;
+  return Status::OK();
 }
 
 Status BufferCache::WriteBackLocked(Shard& s, size_t frame) {
   Frame& f = s.frames[frame];
   if (f.dirty) {
-    MBQ_RETURN_IF_ERROR(disk_->WritePage(f.page_id, f.data.data()));
+    MBQ_RETURN_IF_ERROR(
+        disk_->WritePage(f.page_id, f.bytes ? f.data.get() : nullptr));
     f.dirty = false;
     ++s.stats.pages_flushed;
   }
@@ -161,63 +157,79 @@ Result<size_t> BufferCache::AcquireFrameLocked(Shard& s) {
   return victim;
 }
 
-Result<PageRef> BufferCache::GetPage(PageId id) {
+Result<size_t> BufferCache::FixLocked(Shard& s, PageId id, PageAccess access,
+                                      bool bytes) {
+  auto it = s.frame_of_page.find(id);
+  if (it != s.frame_of_page.end()) {
+    Frame& f = s.frames[it->second];
+    MBQ_CHECK_MSG(f.bytes == bytes,
+                  "page " + std::to_string(id) +
+                      (bytes ? " is byteless (only touched), now pinned for "
+                               "its bytes"
+                             : " is a byte page (pinned), now touched "
+                               "without its bytes"));
+    ++s.stats.hits;
+    UnlinkLocked(s, f);
+    return it->second;
+  }
+  if (access != PageAccess::kInit) ++s.stats.misses;
+  MBQ_ASSIGN_OR_RETURN(size_t frame, AcquireFrameLocked(s));
+  Frame& f = s.frames[frame];
+  if (bytes && f.data == nullptr) {
+    f.data = std::make_unique_for_overwrite<uint8_t[]>(kPageSize);
+    ++s.buffers;
+  }
+  uint8_t* buffer = bytes ? f.data.get() : nullptr;
+  if (access == PageAccess::kInit) {
+    if (buffer != nullptr) std::memset(buffer, 0, kPageSize);
+  } else {
+    // The disk read happens under the shard lock, so a second reader of
+    // the same page waits here and then hits the freshly loaded frame.
+    Status st = disk_->ReadPage(id, buffer);
+    if (!st.ok()) {
+      s.free_frames.push_back(frame);
+      return st;
+    }
+  }
+  f.page_id = id;
+  f.bytes = bytes;
+  f.dirty = access == PageAccess::kInit &&
+            options_.write_policy == WritePolicy::kWriteBack;
+  s.frame_of_page[id] = frame;
+  return frame;
+}
+
+Result<PageRef> BufferCache::Pin(PageId id, PageAccess access) {
   size_t si = ShardOf(id);
   Shard& s = *shards_[si];
   util::ScopedLock lock(s.mu);
-  auto it = s.frame_of_page.find(id);
-  if (it != s.frame_of_page.end()) {
-    ++s.stats.hits;
-    TouchLocked(s, it->second);
-    return PinLocked(s, si, it->second);
-  }
-  ++s.stats.misses;
-  MBQ_ASSIGN_OR_RETURN(size_t frame, AcquireFrameLocked(s));
-  Frame& f = s.frames[frame];
-  // The disk read happens under the shard lock, so a second reader of the
-  // same page waits here and then hits the freshly loaded frame.
-  Status st = disk_->ReadPage(id, f.data.data());
-  if (!st.ok()) {
-    s.free_frames.push_back(frame);
-    return st;
-  }
-  f.page_id = id;
-  f.dirty = false;
-  s.frame_of_page[id] = frame;
-  return PinLocked(s, si, frame);
+  MBQ_ASSIGN_OR_RETURN(size_t frame, FixLocked(s, id, access, /*bytes=*/true));
+  ++s.frames[frame].pins;
+  return PageRef(this, si, frame);
+}
+
+Result<PageRef> BufferCache::GetPage(PageId id) {
+  return Pin(id, PageAccess::kRead);
 }
 
 Result<PageRef> BufferCache::GetPageForInit(PageId id) {
-  size_t si = ShardOf(id);
-  Shard& s = *shards_[si];
-  util::ScopedLock lock(s.mu);
-  auto it = s.frame_of_page.find(id);
-  if (it != s.frame_of_page.end()) {
-    ++s.stats.hits;
-    TouchLocked(s, it->second);
-    return PinLocked(s, si, it->second);
-  }
-  MBQ_ASSIGN_OR_RETURN(size_t frame, AcquireFrameLocked(s));
-  Frame& f = s.frames[frame];
-  std::fill(f.data.begin(), f.data.end(), 0);
-  f.page_id = id;
-  f.dirty = options_.write_policy == WritePolicy::kWriteBack;
-  s.frame_of_page[id] = frame;
-  return PinLocked(s, si, frame);
+  return Pin(id, PageAccess::kInit);
 }
 
 Result<PageRef> BufferCache::NewPage() {
-  PageId id = disk_->AllocatePage();
-  size_t si = ShardOf(id);
-  Shard& s = *shards_[si];
+  return Pin(disk_->AllocatePage(), PageAccess::kInit);
+}
+
+Status BufferCache::Touch(PageId id, PageAccess access) {
+  Shard& s = *shards_[ShardOf(id)];
   util::ScopedLock lock(s.mu);
-  MBQ_ASSIGN_OR_RETURN(size_t frame, AcquireFrameLocked(s));
-  Frame& f = s.frames[frame];
-  std::fill(f.data.begin(), f.data.end(), 0);
-  f.page_id = id;
-  f.dirty = options_.write_policy == WritePolicy::kWriteBack;
-  s.frame_of_page[id] = frame;
-  return PinLocked(s, si, frame);
+  MBQ_ASSIGN_OR_RETURN(size_t frame,
+                       FixLocked(s, id, access, /*bytes=*/false));
+  Status st = access == PageAccess::kRead
+                  ? Status::OK()
+                  : DirtyLocked(s, s.frames[frame]);
+  RelinkLocked(s, frame);
+  return st;
 }
 
 Status BufferCache::FlushShardLocked(Shard& s) {
@@ -291,6 +303,15 @@ size_t BufferCache::cached_pages() const {
     total += shard->frame_of_page.size();
   }
   return total;
+}
+
+uint64_t BufferCache::resident_bytes() const {
+  uint64_t buffers = 0;
+  for (const auto& shard : shards_) {
+    util::ScopedLock lock(shard->mu);
+    buffers += shard->buffers;
+  }
+  return buffers * kPageSize;
 }
 
 }  // namespace mbq::storage

@@ -48,6 +48,13 @@ struct BufferCacheStats {
   uint64_t flush_stalls = 0;
 };
 
+/// What an access does to a page: the cache traffic of a pin sequence.
+enum class PageAccess {
+  kRead,             ///< GetPage, then unpin
+  kReadModifyWrite,  ///< GetPage, MarkDirty, unpin
+  kInit,             ///< GetPageForInit (no disk read), MarkDirty, unpin
+};
+
 class BufferCache;
 
 /// RAII pin on a cached page. The page cannot be evicted while a PageRef
@@ -84,6 +91,12 @@ class PageRef {
 /// A fixed-capacity LRU page cache over a SimulatedDisk, sharded by page
 /// id so concurrent readers only contend within a shard.
 ///
+/// A page is either a byte page, pinned through GetPage, GetPageForInit
+/// or NewPage for its bytes, or a byteless one, only ever Touch()ed, whose
+/// accesses are modelled without bytes. Frames start empty; a frame gets
+/// its kPageSize buffer the first time a byte pin lands in it and keeps
+/// it. Using one page both ways aborts naming the page.
+///
 /// Thread-safety: any number of threads may call GetPage concurrently
 /// (the reader path the parallel executor uses). Mutations of page
 /// contents follow the engines' single-writer rule — a writer is never
@@ -107,6 +120,12 @@ class BufferCache {
   /// overwrite. The frame starts zeroed.
   Result<PageRef> GetPageForInit(PageId id);
 
+  /// Models `access` to byteless page `id`: the hits, misses, evictions,
+  /// write-backs, flush stalls and write-through writes of the pin
+  /// sequence it names, under one shard-lock acquisition and without
+  /// holding the page's bytes.
+  Status Touch(PageId id, PageAccess access);
+
   /// Writes all dirty pages back to disk.
   Status FlushAll();
 
@@ -120,6 +139,8 @@ class BufferCache {
   void ResetStats();
   size_t capacity_pages() const { return options_.capacity_pages; }
   size_t cached_pages() const;
+  /// Bytes of frame buffers held (frames a byte pin has landed in).
+  uint64_t resident_bytes() const;
   size_t num_shards() const { return shards_.size(); }
   SimulatedDisk* disk() { return disk_; }
 
@@ -128,7 +149,8 @@ class BufferCache {
 
   struct Frame {
     PageId page_id = kInvalidPageId;
-    std::vector<uint8_t> data;
+    std::unique_ptr<uint8_t[]> data;  // allocated by the first byte pin
+    bool bytes = false;               // the resident page is a byte page
     bool dirty = false;
     uint32_t pins = 0;
     // Position in lru when unpinned; end() sentinel handled via flag.
@@ -139,9 +161,10 @@ class BufferCache {
   /// LockRank::kBufferCache: a miss reads the disk (LockRank::kDisk)
   /// while the shard lock is held, so the shard lock ranks above it.
   /// `frames` is deliberately unguarded: frame *contents* follow the pin
-  /// protocol — a pinned frame cannot be evicted or resized, so
-  /// PageRef::data()/page_id() read it without the shard lock; all frame
-  /// *bookkeeping* (pins, dirty, lru linkage) happens under `mu`.
+  /// protocol — a pinned frame cannot be evicted, and a buffer once
+  /// allocated lives as long as the cache — so PageRef::data()/page_id()
+  /// read it without the shard lock; all frame *bookkeeping* (buffer
+  /// allocation, pins, dirty, lru linkage) happens under `mu`.
   struct Shard {
     mutable util::RankedMutex mu{util::LockRank::kBufferCache,
                                  "storage.buffercache.shard"};
@@ -150,17 +173,28 @@ class BufferCache {
     std::unordered_map<PageId, size_t> frame_of_page MBQ_GUARDED_BY(mu);
     std::list<size_t> lru MBQ_GUARDED_BY(mu);  // front = most recently used
     BufferCacheStats stats MBQ_GUARDED_BY(mu);
+    size_t buffers MBQ_GUARDED_BY(mu) = 0;  // frames holding a buffer
   };
 
   size_t ShardOf(PageId id) const { return id % shards_.size(); }
+  /// Pins page `id` for its bytes after `access` (kRead or kInit).
+  Result<PageRef> Pin(PageId id, PageAccess access);
+  /// Makes page `id` resident for `access` and returns its frame, out of
+  /// the LRU list (the caller pins it or relinks it). A hit counts a hit;
+  /// a miss claims a frame, counts a miss and reads the page unless
+  /// `access` is kInit, which zero-fills it and leaves it dirty under
+  /// write-back. `bytes` says whether the caller uses the page's bytes.
+  Result<size_t> FixLocked(Shard& s, PageId id, PageAccess access,
+                           bool bytes) MBQ_REQUIRES(s.mu);
   /// Frame with no resident page; may evict.
   Result<size_t> AcquireFrameLocked(Shard& s) MBQ_REQUIRES(s.mu);
+  /// MarkDirty's effect: written now under write-through, else dirtied.
+  Status DirtyLocked(Shard& s, Frame& f) MBQ_REQUIRES(s.mu);
   Status WriteBackLocked(Shard& s, size_t frame) MBQ_REQUIRES(s.mu);
   Status FlushShardLocked(Shard& s) MBQ_REQUIRES(s.mu);
-  void TouchLocked(Shard& s, size_t frame) MBQ_REQUIRES(s.mu);
-  /// Pin + wrap: takes the shard's index alongside the locked shard.
-  PageRef PinLocked(Shard& s, size_t shard_index, size_t frame)
-      MBQ_REQUIRES(s.mu);
+  void UnlinkLocked(Shard& s, Frame& f) MBQ_REQUIRES(s.mu);
+  /// Makes an unpinned frame the most recently used.
+  void RelinkLocked(Shard& s, size_t frame) MBQ_REQUIRES(s.mu);
   void Unpin(size_t shard, size_t frame);
 
   SimulatedDisk* disk_;

@@ -22,8 +22,7 @@ PageId ExtentAllocator::AllocatePage(uint32_t stream) {
     // Record the extent in the directory — a seek back to the front of
     // the device. This is why tiny extents are fast at first but degrade
     // as the database (and the directory round trips) grow.
-    directory_.assign(kPageSize, 0);
-    Status st = disk_->WritePage(directory_page_, directory_.data());
+    Status st = disk_->WritePage(directory_page_, nullptr);
     MBQ_CHECK(st.ok());
     state.next_page = first;
     state.remaining_in_extent = extent_pages_;

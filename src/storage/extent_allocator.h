@@ -45,8 +45,7 @@ class ExtentAllocator {
   SimulatedDisk* disk_;
   uint32_t extent_pages_;
   uint64_t extents_allocated_ = 0;
-  PageId directory_page_ = kInvalidPageId;
-  std::vector<uint8_t> directory_;
+  PageId directory_page_ = kInvalidPageId;  // modelled only, no bytes
   std::unordered_map<uint32_t, StreamState> streams_;
 };
 

@@ -1,15 +1,17 @@
 #include "storage/simulated_disk.h"
 
+#include <string>
+
+#include "util/logging.h"
+
 namespace mbq::storage {
 
 SimulatedDisk::SimulatedDisk(DiskProfile profile, Clock* clock)
     : profile_(profile), clock_(clock) {}
 
 PageId SimulatedDisk::AllocatePage() {
-  auto page = std::make_unique<uint8_t[]>(kPageSize);
-  std::memset(page.get(), 0, kPageSize);
   util::ScopedLock lock(mu_);
-  pages_.push_back(std::move(page));
+  pages_.emplace_back();
   return pages_.size() - 1;
 }
 
@@ -38,29 +40,51 @@ Status SimulatedDisk::CheckFailure() {
   return Status::OK();
 }
 
-Status SimulatedDisk::ReadPage(PageId id, uint8_t* out) {
-  util::ScopedLock lock(mu_);
+Status SimulatedDisk::BeginTransfer(PageId id, bool bytes,
+                                    uint64_t transfer_nanos) {
   MBQ_RETURN_IF_ERROR(CheckFailure());
   if (id >= pages_.size()) {
-    return Status::OutOfRange("read past end of disk: page " +
+    return Status::OutOfRange("transfer past end of disk: page " +
                               std::to_string(id));
   }
-  Charge(id, profile_.read_page_nanos);
+  PageUse use = bytes ? PageUse::kBytes : PageUse::kModelled;
+  PageUse& seen = pages_[id].use;
+  MBQ_CHECK_MSG(seen == PageUse::kNone || seen == use,
+                "disk page " + std::to_string(id) +
+                    (bytes ? " was transferred without bytes, now with them"
+                           : " holds bytes, now transferred without them"));
+  seen = use;
+  Charge(id, transfer_nanos);
+  return Status::OK();
+}
+
+Status SimulatedDisk::ReadPage(PageId id, uint8_t* out) {
+  util::ScopedLock lock(mu_);
+  MBQ_RETURN_IF_ERROR(
+      BeginTransfer(id, out != nullptr, profile_.read_page_nanos));
   ++stats_.page_reads;
-  std::memcpy(out, pages_[id].get(), kPageSize);
+  if (out == nullptr) return Status::OK();
+  const std::unique_ptr<uint8_t[]>& bytes = pages_[id].bytes;
+  if (bytes != nullptr) {
+    std::memcpy(out, bytes.get(), kPageSize);
+  } else {
+    std::memset(out, 0, kPageSize);
+  }
   return Status::OK();
 }
 
 Status SimulatedDisk::WritePage(PageId id, const uint8_t* data) {
   util::ScopedLock lock(mu_);
-  MBQ_RETURN_IF_ERROR(CheckFailure());
-  if (id >= pages_.size()) {
-    return Status::OutOfRange("write past end of disk: page " +
-                              std::to_string(id));
-  }
-  Charge(id, profile_.write_page_nanos);
+  MBQ_RETURN_IF_ERROR(
+      BeginTransfer(id, data != nullptr, profile_.write_page_nanos));
   ++stats_.page_writes;
-  std::memcpy(pages_[id].get(), data, kPageSize);
+  if (data == nullptr) return Status::OK();
+  std::unique_ptr<uint8_t[]>& bytes = pages_[id].bytes;
+  if (bytes == nullptr) {
+    bytes = std::make_unique_for_overwrite<uint8_t[]>(kPageSize);
+    ++resident_pages_;
+  }
+  std::memcpy(bytes.get(), data, kPageSize);
   return Status::OK();
 }
 

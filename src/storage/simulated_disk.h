@@ -47,11 +47,17 @@ struct DiskStats {
   uint64_t busy_nanos = 0;  // total simulated device time charged
 };
 
-/// An in-memory array of pages that charges HDD-like latency to a Clock.
+/// An array of pages that charges HDD-like latency to a Clock.
 ///
 /// The paper's import-time "jumps" (Figures 2 and 3) and the cold-cache
 /// discussion in Section 4 are disk effects; modelling the device lets the
 /// benches reproduce those shapes deterministically at laptop scale.
+///
+/// A page holds bytes only once something writes it with bytes; a
+/// transfer with a null buffer is only modelled (failure check, latency,
+/// counters). A page is one or the other for its whole life: a byte
+/// transfer of a page once transferred without bytes, or the reverse,
+/// aborts naming the page.
 ///
 /// Thread-safe: one internal mutex serializes accesses, modelling a
 /// single-head device — concurrent readers queue at the disk exactly as
@@ -65,13 +71,15 @@ class SimulatedDisk {
   SimulatedDisk(const SimulatedDisk&) = delete;
   SimulatedDisk& operator=(const SimulatedDisk&) = delete;
 
-  /// Appends a zeroed page and returns its id.
+  /// Appends a page, holding no bytes yet, and returns its id.
   PageId AllocatePage();
 
-  /// Copies page `id` into `out` (must hold kPageSize bytes).
+  /// Copies page `id` into `out` (kPageSize bytes; a page never written
+  /// with bytes reads as zeros). A null `out` only models the read.
   Status ReadPage(PageId id, uint8_t* out);
 
-  /// Overwrites page `id` from `data` (kPageSize bytes).
+  /// Overwrites page `id` from `data` (kPageSize bytes); the page gets its
+  /// buffer on the first such write. A null `data` only models the write.
   Status WritePage(PageId id, const uint8_t* data);
 
   /// Fault injection: after `ops` further successful reads/writes, every
@@ -104,13 +112,29 @@ class SimulatedDisk {
   }
   const DiskProfile& profile() const { return profile_; }
 
-  /// Total bytes held (the simulated on-disk footprint).
+  /// The simulated on-disk footprint: every allocated page.
   uint64_t SizeBytes() const {
     util::ScopedLock lock(mu_);
     return pages_.size() * kPageSize;
   }
+  /// Bytes of page buffers actually held in memory.
+  uint64_t ResidentBytes() const {
+    util::ScopedLock lock(mu_);
+    return resident_pages_ * kPageSize;
+  }
 
  private:
+  /// How a page has been transferred so far.
+  enum class PageUse : uint8_t { kNone, kBytes, kModelled };
+  struct Page {
+    std::unique_ptr<uint8_t[]> bytes;  // null until a write with bytes
+    PageUse use = PageUse::kNone;
+  };
+
+  /// The shared prologue of a transfer: failure injection, bounds, the
+  /// byte-or-modelled check, the latency charge.
+  Status BeginTransfer(PageId id, bool bytes, uint64_t transfer_nanos)
+      MBQ_REQUIRES(mu_);
   void Charge(PageId id, uint64_t transfer_nanos) MBQ_REQUIRES(mu_);
   Status CheckFailure() MBQ_REQUIRES(mu_);
 
@@ -119,7 +143,8 @@ class SimulatedDisk {
   /// LockRank::kDisk, the innermost storage lock: critical sections touch
   /// only the page array, the counters, and the (thread-safe) clock.
   mutable util::RankedMutex mu_{util::LockRank::kDisk, "storage.disk"};
-  std::vector<std::unique_ptr<uint8_t[]>> pages_ MBQ_GUARDED_BY(mu_);
+  std::vector<Page> pages_ MBQ_GUARDED_BY(mu_);
+  uint64_t resident_pages_ MBQ_GUARDED_BY(mu_) = 0;
   PageId last_page_ MBQ_GUARDED_BY(mu_) = kInvalidPageId;
   DiskStats stats_ MBQ_GUARDED_BY(mu_);
   uint64_t fail_after_ MBQ_GUARDED_BY(mu_) = UINT64_MAX;

@@ -4,10 +4,6 @@
 
 namespace mbq::storage {
 
-
-
-
-
 StorageAccountant::StorageAccountant(BufferCache* cache,
                                      ExtentAllocator* extents)
     : cache_(cache), extents_(extents) {}
@@ -37,15 +33,14 @@ Result<uint64_t> StorageAccountant::AppendBytes(uint32_t stream,
   for (uint64_t off = start; off < end;
        off = (off / kPageSize + 1) * kPageSize) {
     MBQ_ASSIGN_OR_RETURN(PageId id, PageFor(stream, off));
-    MBQ_ASSIGN_OR_RETURN(PageRef ref, cache_->GetPageForInit(id));
-    ref.MarkDirty();
+    MBQ_RETURN_IF_ERROR(cache_->Touch(id, PageAccess::kInit));
   }
   s.bytes = end;
   return start;
 }
 
-Status StorageAccountant::TouchRead(uint32_t stream, uint64_t offset,
-                                    uint64_t bytes) {
+Status StorageAccountant::TouchRange(uint32_t stream, uint64_t offset,
+                                     uint64_t bytes, PageAccess access) {
   MBQ_CHECK(stream < streams_.size());
   Stream& s = streams_[stream];
   if (bytes == 0 || s.pages.empty()) return Status::OK();
@@ -54,26 +49,19 @@ Status StorageAccountant::TouchRead(uint32_t stream, uint64_t offset,
   if (first >= s.pages.size()) return Status::OK();
   last = std::min<uint64_t>(last, s.pages.size() - 1);
   for (uint64_t p = first; p <= last; ++p) {
-    MBQ_ASSIGN_OR_RETURN(PageRef ref, cache_->GetPage(s.pages[p]));
-    (void)ref;
+    MBQ_RETURN_IF_ERROR(cache_->Touch(s.pages[p], access));
   }
   return Status::OK();
 }
 
+Status StorageAccountant::TouchRead(uint32_t stream, uint64_t offset,
+                                    uint64_t bytes) {
+  return TouchRange(stream, offset, bytes, PageAccess::kRead);
+}
+
 Status StorageAccountant::TouchWrite(uint32_t stream, uint64_t offset,
                                      uint64_t bytes) {
-  MBQ_CHECK(stream < streams_.size());
-  Stream& s = streams_[stream];
-  if (bytes == 0 || s.pages.empty()) return Status::OK();
-  uint64_t first = offset / kPageSize;
-  uint64_t last = (offset + bytes - 1) / kPageSize;
-  if (first >= s.pages.size()) return Status::OK();
-  last = std::min<uint64_t>(last, s.pages.size() - 1);
-  for (uint64_t p = first; p <= last; ++p) {
-    MBQ_ASSIGN_OR_RETURN(PageRef ref, cache_->GetPage(s.pages[p]));
-    ref.MarkDirty();
-  }
-  return Status::OK();
+  return TouchRange(stream, offset, bytes, PageAccess::kReadModifyWrite);
 }
 
 Status StorageAccountant::Finalize() { return cache_->FlushAll(); }

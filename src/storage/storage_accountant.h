@@ -18,7 +18,9 @@ namespace mbq::storage {
 /// during load passes through the extent allocator and buffer cache here
 /// (so cache-full flush stalls and extent fragmentation behave like the
 /// paper's Figure 3), and every byte logically read during a query touches
-/// its pages (so cold-cache queries pay disk latency).
+/// its pages (so cold-cache queries pay disk latency). Its pages are
+/// byteless: it only ever BufferCache::Touch()es them, so they model the
+/// I/O without holding any bytes in the cache or on the disk.
 class StorageAccountant {
  public:
   StorageAccountant(BufferCache* cache,
@@ -55,6 +57,9 @@ class StorageAccountant {
 
   // The page holding stream offset `off`, allocating if needed.
   Result<PageId> PageFor(uint32_t stream, uint64_t off);
+  // Applies `access` to the existing pages covering the range.
+  Status TouchRange(uint32_t stream, uint64_t offset, uint64_t bytes,
+                    PageAccess access);
 
   BufferCache* cache_;
   ExtentAllocator* extents_;

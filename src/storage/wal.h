@@ -13,9 +13,11 @@ namespace mbq::storage {
 /// Append-only redo log used by the record-store engine's transactions.
 ///
 /// Records are length-prefixed byte strings packed contiguously across
-/// pages on a dedicated SimulatedDisk region. Appends are buffered in
-/// memory; Sync() makes them durable (and charges the disk). Replay()
-/// iterates only the durable prefix, which is what a crash would preserve.
+/// pages of a dedicated SimulatedDisk region. The log image stays in
+/// memory; Sync() makes the appended tail durable and charges its page
+/// writes to the disk, which models them without holding their bytes.
+/// Replay() iterates only the durable prefix, which is what a crash would
+/// preserve.
 class Wal {
  public:
   explicit Wal(SimulatedDisk* disk);

@@ -57,4 +57,14 @@ class LogMessage {
     }                                                                 \
   } while (0)
 
+/// MBQ_CHECK that also prints `msg`, a std::string built only on failure,
+/// so the abort names what the check caught.
+#define MBQ_CHECK_MSG(cond, msg)                                           \
+  do {                                                                     \
+    if (!(cond)) {                                                         \
+      ::mbq::internal_logging::CheckFailed(                                \
+          __FILE__, __LINE__, (std::string(#cond) + ": " + (msg)).c_str()); \
+    }                                                                      \
+  } while (0)
+
 #endif  // MBQ_UTIL_LOGGING_H_

@@ -5,6 +5,7 @@
 #include "core/calls.h"
 #include "core/engine.h"
 #include "core/workload.h"
+#include "obs/metrics.h"
 #include "storage/buffer_cache.h"
 #include "storage/extent_allocator.h"
 #include "storage/simulated_disk.h"
@@ -77,6 +78,37 @@ TEST(SimulatedDiskTest, TimeFlowsToClock) {
   ASSERT_TRUE(disk.ReadPage(0, buf.data()).ok());
   EXPECT_EQ(clock.NowNanos(), disk.stats().busy_nanos);
   EXPECT_GT(clock.NowNanos(), 0u);
+}
+
+TEST(SimulatedDiskTest, ByteslessTransfersAreModelledOnly) {
+  VirtualClock clock;
+  SimulatedDisk disk(DiskProfile(), &clock);
+  PageId modelled = disk.AllocatePage();
+  PageId written = disk.AllocatePage();
+  PageId unwritten = disk.AllocatePage();
+  EXPECT_EQ(disk.SizeBytes(), 3 * kPageSize);
+  EXPECT_EQ(disk.ResidentBytes(), 0u);
+
+  // A null buffer charges and counts the transfer but copies nothing.
+  ASSERT_TRUE(disk.WritePage(modelled, nullptr).ok());
+  ASSERT_TRUE(disk.ReadPage(modelled, nullptr).ok());
+  EXPECT_EQ(disk.stats().page_writes, 1u);
+  EXPECT_EQ(disk.stats().page_reads, 1u);
+  EXPECT_EQ(clock.NowNanos(), disk.stats().busy_nanos);
+  EXPECT_EQ(disk.ResidentBytes(), 0u);
+
+  // The first write with bytes gives the page its buffer.
+  std::vector<uint8_t> data(kPageSize, 0x5A);
+  ASSERT_TRUE(disk.WritePage(written, data.data()).ok());
+  ASSERT_TRUE(disk.WritePage(written, data.data()).ok());
+  EXPECT_EQ(disk.ResidentBytes(), kPageSize);
+  std::vector<uint8_t> out(kPageSize, 0xFF);
+  ASSERT_TRUE(disk.ReadPage(written, out.data()).ok());
+  EXPECT_EQ(out, data);
+  // A page never written reads as zeros and still holds nothing.
+  ASSERT_TRUE(disk.ReadPage(unwritten, out.data()).ok());
+  EXPECT_EQ(out, std::vector<uint8_t>(kPageSize, 0));
+  EXPECT_EQ(disk.ResidentBytes(), kPageSize);
 }
 
 // ------------------------------------------------------------ BufferCache
@@ -206,6 +238,102 @@ TEST(BufferCacheTest, EvictAllColdStart) {
   ASSERT_TRUE(ref.ok());
   EXPECT_EQ(cache.stats().misses, misses + 1);  // cold read
   EXPECT_EQ(ref->data()[0], 9);                 // data survived the flush
+}
+
+// Touch() models exactly the cache and disk traffic of the pin sequence
+// it names, under every write policy, while holding no page bytes.
+TEST(BufferCacheTest, TouchMatchesThePinSequences) {
+  struct Op {
+    PageAccess access;
+    PageId page;
+  };
+  std::vector<Op> ops;
+  for (PageId p = 0; p < 12; ++p) ops.push_back({PageAccess::kInit, p});
+  for (PageId p : {0, 5, 2, 7, 2, 11, 3, 0, 9, 9, 4, 1}) {
+    ops.push_back({p % 3 == 0 ? PageAccess::kReadModifyWrite
+                              : PageAccess::kRead,
+                   p});
+  }
+  for (PageId p : {6, 7}) ops.push_back({PageAccess::kInit, p});
+
+  for (int policy = 0; policy < 3; ++policy) {
+    SCOPED_TRACE(policy);
+    BufferCacheOptions options = SmallCache(4);
+    options.flush_all_when_full = policy == 1;
+    if (policy == 2) options.write_policy = WritePolicy::kWriteThrough;
+    VirtualClock pin_clock;
+    VirtualClock touch_clock;
+    SimulatedDisk pin_disk(DiskProfile(), &pin_clock);
+    SimulatedDisk touch_disk(DiskProfile(), &touch_clock);
+    for (size_t i = 0; i < 12; ++i) {
+      pin_disk.AllocatePage();
+      touch_disk.AllocatePage();
+    }
+    BufferCache pinned(&pin_disk, options);
+    BufferCache touched(&touch_disk, options);
+    for (const Op& op : ops) {
+      auto ref = op.access == PageAccess::kInit ? pinned.GetPageForInit(op.page)
+                                                : pinned.GetPage(op.page);
+      ASSERT_TRUE(ref.ok());
+      if (op.access != PageAccess::kRead) ref->MarkDirty();
+      ASSERT_TRUE(touched.Touch(op.page, op.access).ok());
+    }
+    ASSERT_TRUE(pinned.EvictAll().ok());
+    ASSERT_TRUE(touched.EvictAll().ok());
+
+    const BufferCacheStats a = pinned.stats();
+    const BufferCacheStats b = touched.stats();
+    EXPECT_EQ(a.hits, b.hits);
+    EXPECT_EQ(a.misses, b.misses);
+    EXPECT_EQ(a.evictions, b.evictions);
+    EXPECT_EQ(a.pages_flushed, b.pages_flushed);
+    EXPECT_EQ(a.flush_stalls, b.flush_stalls);
+    EXPECT_GT(a.evictions, 0u);
+    EXPECT_EQ(pin_disk.stats().page_reads, touch_disk.stats().page_reads);
+    EXPECT_EQ(pin_disk.stats().page_writes, touch_disk.stats().page_writes);
+    EXPECT_EQ(pin_disk.stats().seeks, touch_disk.stats().seeks);
+    EXPECT_EQ(pin_disk.stats().busy_nanos, touch_disk.stats().busy_nanos);
+    EXPECT_EQ(pinned.resident_bytes(), 4 * kPageSize);
+    EXPECT_EQ(pin_disk.ResidentBytes(), 12 * kPageSize);
+    EXPECT_EQ(touched.resident_bytes(), 0u);
+    EXPECT_EQ(touch_disk.ResidentBytes(), 0u);
+  }
+}
+
+TEST(BufferCacheTest, FramesGetTheirBufferOnTheFirstBytePin) {
+  VirtualClock clock;
+  SimulatedDisk disk(DiskProfile::Instant(), &clock);
+  BufferCache cache(&disk, SmallCache(1024));
+  EXPECT_EQ(cache.resident_bytes(), 0u);
+  PageId byteless = disk.AllocatePage();
+  ASSERT_TRUE(cache.Touch(byteless, PageAccess::kInit).ok());
+  EXPECT_EQ(cache.resident_bytes(), 0u);
+  for (int i = 0; i < 3; ++i) ASSERT_TRUE(cache.NewPage().ok());
+  EXPECT_EQ(cache.resident_bytes(), 3 * kPageSize);
+  // Dropped and re-read, the pages land in frames that already hold a
+  // buffer.
+  ASSERT_TRUE(cache.EvictAll().ok());
+  for (PageId p = 1; p <= 3; ++p) ASSERT_TRUE(cache.GetPage(p).ok());
+  EXPECT_EQ(cache.resident_bytes(), 3 * kPageSize);
+}
+
+TEST(BufferCacheDeathTest, BytePinOnABytelessPageAbortsNamingIt) {
+  VirtualClock clock;
+  SimulatedDisk disk(DiskProfile::Instant(), &clock);
+  BufferCache cache(&disk, SmallCache(4));
+  disk.AllocatePage();
+  PageId page = disk.AllocatePage();
+  ASSERT_TRUE(cache.Touch(page, PageAccess::kInit).ok());
+  // Resident: the frame knows its page is byteless.
+  EXPECT_DEATH((void)cache.GetPage(page), "page 1 is byteless");
+  // Written back and dropped: the disk remembers.
+  ASSERT_TRUE(cache.EvictAll().ok());
+  EXPECT_DEATH((void)cache.GetPage(page),
+               "disk page 1 was transferred without bytes");
+  PageId pinned = disk.AllocatePage();
+  ASSERT_TRUE(cache.GetPageForInit(pinned).ok());
+  EXPECT_DEATH((void)cache.Touch(pinned, PageAccess::kRead),
+               "page 2 is a byte page");
 }
 
 // -------------------------------------------------------------------- WAL
@@ -582,6 +710,44 @@ TEST_F(StorageModelTest, BitmapStoreFlushesWhenFull) {
       ModelledIo{{11684, 48, 68, 88, 2},
                  {48, 111, 29, 126'650'000},
                  1'515'520});
+}
+
+// The bitmap store keeps its data in memory and only models its pages:
+// after a load neither its cache nor its disk holds a page byte.
+TEST_F(StorageModelTest, BitmapStoreHoldsNoPageBytes) {
+  obs::MetricsRegistry registry;
+  bitmapstore::GraphOptions options;
+  options.metrics = &registry;
+  bitmapstore::Graph graph(options);
+  ASSERT_TRUE(twitter::LoadIntoBitmapstore(*dataset_, &graph).ok());
+  obs::MetricsSnapshot snap = registry.Snapshot();
+  EXPECT_EQ(snap.ValueOf("bitmapstore.page_cache.resident_bytes"), 0);
+  EXPECT_EQ(snap.ValueOf("bitmapstore.disk.resident_bytes"), 0);
+  EXPECT_GT(graph.DiskSizeBytes(), 0u);
+}
+
+// A cache larger than the store holds buffers only for the record pages
+// pinned into it, not its configured size; the property-index pages and
+// the extent directory hold no bytes on the disk either.
+TEST_F(StorageModelTest, RecordStoreCacheHoldsAtMostItsPages) {
+  obs::MetricsRegistry registry;
+  nodestore::GraphDbOptions options;
+  options.metrics = &registry;
+  nodestore::GraphDb db(options);
+  ASSERT_TRUE(twitter::LoadIntoNodestore(*dataset_, &db).ok());
+  ASSERT_LT(db.DiskSizeBytes(), options.cache_bytes);
+  core::EngineOptions engine_options;
+  engine_options.db = &db;
+  auto engine = core::OpenEngine(core::EngineKind::kNodestore, engine_options);
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  RunAnchorsCold(**engine);
+  obs::MetricsSnapshot snap = registry.Snapshot();
+  const double cached = snap.ValueOf("nodestore.page_cache.resident_bytes");
+  EXPECT_GT(cached, 0);
+  EXPECT_LE(cached, static_cast<double>(db.DiskSizeBytes()));
+  const double on_disk = snap.ValueOf("nodestore.disk.resident_bytes");
+  EXPECT_GT(on_disk, 0);
+  EXPECT_LT(on_disk, static_cast<double>(db.DiskSizeBytes()));
 }
 
 }  // namespace
