@@ -73,10 +73,13 @@ if [ "${MBQ_CLUSTER_STATS:-0}" = "1" ]; then
 fi
 
 # Start the shards on ephemeral ports; grep each one's resolved port out
-# of its startup line ("mbqd: shard I listening on 127.0.0.1:PORT").
+# of its startup line ("mbqd: shard I listening on 127.0.0.1:PORT"). Each
+# log exists before its daemon starts, so the wait loops never read a
+# file the backgrounded redirection has not created yet.
 shard_args=()
 for i in $(seq 0 $((shards - 1))); do
   log="$logdir/shard$i.log"
+  : >"$log"
   # shellcheck disable=SC2086
   MBQ_STATS_PORT= "$mbqd" --port=0 --shards="$shards" --shard-id="$i" \
     --users="$users" --seed="$seed" --partition="$partition" \
@@ -107,6 +110,7 @@ done
 
 # Aggregator in front of the shards, also on an ephemeral port.
 agg_log="$logdir/aggregator.log"
+: >"$agg_log"
 MBQ_STATS_PORT= "$mbqd" --aggregate --port=0 "${shard_args[@]}" \
   $serve_flag 2>"$agg_log" &
 pids+=($!)

@@ -14,9 +14,10 @@
 #
 # The focused TSan pass runs the tests that exercise shared state
 # (ThreadPool, concurrency harness, agreement sweep, cypher runtime, the
-# query registry / flight recorder, the stats server, and the RPC /
-# cluster plane with its concurrent clients) with CYPHER_THREADS=4 so
-# the morsel-parallel paths engage. A full-suite TSan run works too but
+# query registry / flight recorder, the stats server, the RPC / cluster
+# plane with its concurrent clients, and the storage layer: disk, buffer
+# cache, accountant, fault injection and the pinned modelled I/O) with
+# CYPHER_THREADS=4 so the morsel-parallel paths engage. A full-suite TSan run works too but
 # is several times slower. The TSan pass finishes with the cluster,
 # driver and trace smokes, all running under the sanitizer: real mbqd
 # shard + aggregator processes on loopback, verified and driven by two
@@ -41,7 +42,7 @@ for arg in "$@"; do
 done
 
 jobs="$(nproc 2>/dev/null || echo 2)"
-focused='Exec|Concurrency|Agreement|Cypher|Cache|Introspect|Httpd|SlowQuery|Rpc|Framing|Messages|Cluster|Partitioner|Write|Wal|LockRank|Trace'
+focused='Exec|Concurrency|Agreement|Cypher|Cache|Introspect|Httpd|SlowQuery|Rpc|Framing|Messages|Cluster|Partitioner|Write|Wal|LockRank|Trace|SimulatedDisk|StorageAccountant|StorageModel|FaultInjection'
 
 echo "== ThreadSanitizer build (build-tsan/) =="
 cmake -B build-tsan -S . -DSANITIZE=thread >/dev/null

@@ -94,6 +94,7 @@ shard_args=()
 stats_args=()
 for i in $(seq 0 $((shards - 1))); do
   log="$logdir/shard$i.log"
+  : >"$log"  # exists before await_port reads it
   MBQ_STATS_PORT= "$mbqd" --port=0 --shards="$shards" --shard-id="$i" \
     --users="$users" --seed="$seed" --serve 2>"$log" &
   pids+=($!)
@@ -107,6 +108,7 @@ for i in $(seq 0 $((shards - 1))); do
 done
 
 agg_log="$logdir/aggregator.log"
+: >"$agg_log"
 MBQ_STATS_PORT= "$mbqd" --aggregate --port=0 "${shard_args[@]}" \
   --serve 2>"$agg_log" &
 pids+=($!)

@@ -107,24 +107,26 @@ void BufferCache::Unpin(size_t shard, size_t frame) {
   RelinkLocked(s, frame);
 }
 
-Status BufferCache::DirtyLocked(Shard& s, Frame& f) {
-  if (options_.write_policy == WritePolicy::kWriteBack) {
-    f.dirty = true;
-    return Status::OK();
-  }
+Status BufferCache::WriteLocked(Shard& s, const Frame& f) {
   MBQ_RETURN_IF_ERROR(
       disk_->WritePage(f.page_id, f.bytes ? f.data.get() : nullptr));
   ++s.stats.pages_flushed;
   return Status::OK();
 }
 
+Status BufferCache::DirtyLocked(Shard& s, Frame& f) {
+  if (options_.write_policy == WritePolicy::kWriteThrough) {
+    return WriteLocked(s, f);
+  }
+  f.dirty = true;
+  return Status::OK();
+}
+
 Status BufferCache::WriteBackLocked(Shard& s, size_t frame) {
   Frame& f = s.frames[frame];
   if (f.dirty) {
-    MBQ_RETURN_IF_ERROR(
-        disk_->WritePage(f.page_id, f.bytes ? f.data.get() : nullptr));
+    MBQ_RETURN_IF_ERROR(WriteLocked(s, f));
     f.dirty = false;
-    ++s.stats.pages_flushed;
   }
   return Status::OK();
 }

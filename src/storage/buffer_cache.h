@@ -188,6 +188,8 @@ class BufferCache {
                            bool bytes) MBQ_REQUIRES(s.mu);
   /// Frame with no resident page; may evict.
   Result<size_t> AcquireFrameLocked(Shard& s) MBQ_REQUIRES(s.mu);
+  /// Writes the frame's page to disk (without bytes if it is byteless).
+  Status WriteLocked(Shard& s, const Frame& f) MBQ_REQUIRES(s.mu);
   /// MarkDirty's effect: written now under write-through, else dirtied.
   Status DirtyLocked(Shard& s, Frame& f) MBQ_REQUIRES(s.mu);
   Status WriteBackLocked(Shard& s, size_t frame) MBQ_REQUIRES(s.mu);

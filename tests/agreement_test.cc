@@ -32,6 +32,14 @@ struct AgreementCase {
   bool partition_nodestore;
 };
 
+/// Prints a case as, e.g., "Seed101_400UsersPartitioned", which names it
+/// in ctest. gtest's default printer dumps the struct's raw bytes, padding
+/// included, so the names differed from build to build.
+void PrintTo(const AgreementCase& c, std::ostream* os) {
+  *os << "Seed" << c.seed << "_" << c.users << "Users"
+      << (c.partition_nodestore ? "Partitioned" : "");
+}
+
 /// Both engines over one generated dataset of shape `c`.
 class EnginePairTest : public ::testing::Test {
  protected:

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <memory>
 #include <string>
 #include <vector>
@@ -183,6 +184,18 @@ struct ClusterCase {
   PartitionKind partition;
   EngineKind engine;  // kRemote = alternate nodestore/bitmap per shard
 };
+
+/// Prints a case as, e.g., "Seed11_2ShardsHashNodestore", which names it
+/// in ctest. gtest's default printer dumps the struct's raw bytes, padding
+/// included, so the names differed from build to build.
+void PrintTo(const ClusterCase& c, std::ostream* os) {
+  std::string partition = PartitionKindName(c.partition);
+  partition[0] = static_cast<char>(std::toupper(partition[0]));
+  *os << "Seed" << c.seed << "_" << c.shards << "Shards" << partition
+      << (c.engine == EngineKind::kNodestore ? "Nodestore"
+          : c.engine == EngineKind::kBitmap  ? "Bitmap"
+                                             : "Mixed");
+}
 
 class ClusterAgreementTest : public ::testing::TestWithParam<ClusterCase> {
  protected:

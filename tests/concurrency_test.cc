@@ -28,7 +28,11 @@ constexpr char kCoMentionQuery[] =
     "WHERE b.uid <> $uid "
     "RETURN b.uid, count(t) AS c ORDER BY c DESC, b.uid ASC LIMIT $n";
 
-class ConcurrencyTest : public ::testing::Test {
+/// Buffer-cache size of both engines, in pages: the engines' default,
+/// which the stores fit, or 32 pages, at which readers evict and re-claim
+/// frames under contention, on the record store by byte pages and
+/// byteless ones alike.
+class ConcurrencyTest : public ::testing::TestWithParam<uint64_t> {
  protected:
   void SetUp() override {
     twitter::DatasetSpec spec;
@@ -42,12 +46,14 @@ class ConcurrencyTest : public ::testing::Test {
 
     nodestore::GraphDbOptions ndb_options;
     ndb_options.disk_profile = storage::DiskProfile::Instant();
+    bitmapstore::GraphOptions bg_options;
+    bg_options.disk_profile = storage::DiskProfile::Instant();
+    ndb_options.cache_bytes = GetParam() * storage::kPageSize;
+    bg_options.cache_bytes = GetParam() * storage::kPageSize;
     db_ = std::make_unique<nodestore::GraphDb>(ndb_options);
     auto nh = twitter::LoadIntoNodestore(dataset_, db_.get());
     ASSERT_TRUE(nh.ok()) << nh.status().ToString();
 
-    bitmapstore::GraphOptions bg_options;
-    bg_options.disk_profile = storage::DiskProfile::Instant();
     graph_ = std::make_unique<bitmapstore::Graph>(bg_options);
     auto bh = twitter::LoadIntoBitmapstore(dataset_, graph_.get());
     ASSERT_TRUE(bh.ok()) << bh.status().ToString();
@@ -77,9 +83,10 @@ class ConcurrencyTest : public ::testing::Test {
 
 // N reader threads share one GraphDb and one Graph — each runs the heavy
 // Table 2 queries repeatedly while another thread scrapes the metrics
-// registry. Every result must match the sequential reference; no reader
-// may observe a torn page, stat, or plan.
-TEST_F(ConcurrencyTest, SharedEnginesSurviveConcurrentReaders) {
+// registry. The readers start from cold caches. Every result must match
+// the sequential reference; no reader may observe a torn page, stat, or
+// plan.
+TEST_P(ConcurrencyTest, SharedEnginesSurviveConcurrentReaders) {
   // Sequential reference results, taken before any concurrency starts.
   auto ref_ns = ns_->TopCoMentionedUsers(hot_uid_, 1 << 30);
   auto ref_bm = bm_->TopCoMentionedUsers(hot_uid_, 1 << 30);
@@ -88,6 +95,8 @@ TEST_F(ConcurrencyTest, SharedEnginesSurviveConcurrentReaders) {
   SortRows(&*ref_ns);
   SortRows(&*ref_bm);
   SortRows(&*ref_inf);
+  ASSERT_TRUE(ns_->DropCaches().ok());
+  ASSERT_TRUE(bm_->DropCaches().ok());
 
   constexpr int kReaders = 4;
   constexpr int kRoundsPerReader = 8;
@@ -132,7 +141,7 @@ TEST_F(ConcurrencyTest, SharedEnginesSurviveConcurrentReaders) {
 // The same query text raced from two threads must be compiled exactly
 // once: the second thread blocks on the session mutex, then takes the
 // cached plan (single-flight, no double-plan, no torn cache entry).
-TEST_F(ConcurrencyTest, PlanCacheCompilesRacedQueryOnce) {
+TEST_P(ConcurrencyTest, PlanCacheCompilesRacedQueryOnce) {
   cypher::CypherSession session(db_.get());
   constexpr int kThreads = 4;
   std::atomic<int> ready{0};
@@ -163,7 +172,7 @@ TEST_F(ConcurrencyTest, PlanCacheCompilesRacedQueryOnce) {
 // Morsel-parallel execution must be invisible in the results: the same
 // queries at 1, 2 and 4 threads return identical rows and identical
 // session-level db-hit totals.
-TEST_F(ConcurrencyTest, ParallelExecutionMatchesSequential) {
+TEST_P(ConcurrencyTest, ParallelExecutionMatchesSequential) {
   auto seq_q31 = ns_->TopCoMentionedUsers(hot_uid_, 1 << 30);
   auto seq_q51 = ns_->CurrentInfluence(hot_uid_, 1 << 30);
   auto seq_bm = bm_->TopCoMentionedUsers(hot_uid_, 1 << 30);
@@ -190,7 +199,7 @@ TEST_F(ConcurrencyTest, ParallelExecutionMatchesSequential) {
 // PROFILE on a parallel session reports how many workers executed the
 // aggregation pipeline (the `par=` annotation), and the db-hit total
 // matches the sequential run — worker hits are folded back in.
-TEST_F(ConcurrencyTest, ProfileReportsParallelWorkers) {
+TEST_P(ConcurrencyTest, ProfileReportsParallelWorkers) {
   cypher::CypherSession session(db_.get());
   cypher::Params params{{"uid", cypher::Value::Int(hot_uid_)},
                         {"n", cypher::Value::Int(1 << 30)}};
@@ -222,7 +231,7 @@ TEST_F(ConcurrencyTest, ProfileReportsParallelWorkers) {
 // Concurrent parallel queries: several threads each run a 2-way parallel
 // aggregation on the shared session, all drawing workers from the same
 // default pool. Checks pool sharing under contention.
-TEST_F(ConcurrencyTest, ConcurrentParallelQueriesShareThePool) {
+TEST_P(ConcurrencyTest, ConcurrentParallelQueriesShareThePool) {
   ns_->SetThreads(2);
   auto ref = ns_->TopCoMentionedUsers(hot_uid_, 1 << 30);
   ASSERT_TRUE(ref.ok());
@@ -249,6 +258,12 @@ TEST_F(ConcurrencyTest, ConcurrentParallelQueriesShareThePool) {
   ns_->SetThreads(1);
   EXPECT_EQ(failures.load(), 0);
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    CacheSizes, ConcurrencyTest,
+    ::testing::Values(nodestore::GraphDbOptions().cache_bytes /
+                          storage::kPageSize,
+                      uint64_t{32}));
 
 }  // namespace
 }  // namespace mbq::core
