@@ -138,6 +138,14 @@ struct AlgebraCase {
   size_t adds_b;
 };
 
+/// Prints a case as, e.g., "Seed1_Universe1000_Adds100x100", which names
+/// it in ctest. gtest's default printer dumps the struct's raw bytes,
+/// padding included, so the names differed from build to build.
+void PrintTo(const AlgebraCase& c, std::ostream* os) {
+  *os << "Seed" << c.seed << "_Universe" << c.universe << "_Adds"
+      << c.adds_a << "x" << c.adds_b;
+}
+
 class BitmapAlgebraTest : public ::testing::TestWithParam<AlgebraCase> {};
 
 TEST_P(BitmapAlgebraTest, MatchesReferenceSets) {
