@@ -17,13 +17,13 @@
 # query registry / flight recorder, the stats server, the RPC / cluster
 # plane with its concurrent clients, and the storage layer: disk, buffer
 # cache, accountant, fault injection and the pinned modelled I/O) with
-# CYPHER_THREADS=4 so the morsel-parallel paths engage. A full-suite TSan run works too but
-# is several times slower. The TSan pass finishes with the cluster,
-# driver and trace smokes, all running under the sanitizer: real mbqd
-# shard + aggregator processes on loopback, verified and driven by two
-# concurrent mbqbench clients (scripts/cluster_local.sh,
-# scripts/trace_smoke.sh), and the local open-loop driver
-# (scripts/driver_smoke.sh).
+# CYPHER_THREADS=4 so the morsel-parallel paths engage. A full-suite
+# TSan run works too but is several times slower. The TSan pass
+# finishes with the cluster, driver and trace smokes, all running under
+# the sanitizer: real mbqd shard + aggregator processes on loopback,
+# verified and driven by two concurrent mbqbench clients
+# (scripts/cluster_local.sh, scripts/trace_smoke.sh), and the local
+# open-loop driver (scripts/driver_smoke.sh).
 set -eu
 
 repo_root="$(cd "$(dirname "$0")/.." && pwd)"
