@@ -317,6 +317,33 @@ TEST(BufferCacheTest, FramesGetTheirBufferOnTheFirstBytePin) {
   EXPECT_EQ(cache.resident_bytes(), 3 * kPageSize);
 }
 
+// Frames keep their buffer across pages of either kind; a byteless page
+// in a frame that holds one still reaches the disk without bytes.
+TEST(BufferCacheTest, ReclaimedFramesKeepEachPageItsKind) {
+  VirtualClock clock;
+  SimulatedDisk disk(DiskProfile::Instant(), &clock);
+  BufferCache cache(&disk, SmallCache(1));
+  PageId byte_page;
+  {
+    auto page = cache.NewPage();
+    ASSERT_TRUE(page.ok());
+    byte_page = page->page_id();
+    page->data()[0] = 7;
+  }
+  PageId byteless = disk.AllocatePage();
+  // Evicts the byte page, with its bytes, into the disk.
+  ASSERT_TRUE(cache.Touch(byteless, PageAccess::kInit).ok());
+  ASSERT_TRUE(cache.EvictAll().ok());
+  EXPECT_EQ(disk.stats().page_writes, 2u);
+  EXPECT_EQ(disk.ResidentBytes(), kPageSize);
+  EXPECT_EQ(cache.resident_bytes(), kPageSize);
+  ASSERT_TRUE(cache.Touch(byteless, PageAccess::kRead).ok());
+  auto back = cache.GetPage(byte_page);
+  ASSERT_TRUE(back.ok());
+  EXPECT_EQ(back->data()[0], 7);
+  EXPECT_EQ(cache.resident_bytes(), kPageSize);
+}
+
 TEST(BufferCacheDeathTest, BytePinOnABytelessPageAbortsNamingIt) {
   VirtualClock clock;
   SimulatedDisk disk(DiskProfile::Instant(), &clock);
