@@ -2,64 +2,16 @@
 
 #include <algorithm>
 
-#include "common/value_codec.h"
 #include "util/logging.h"
 
 namespace mbq::nodestore {
 
 using common::ValueType;
 
-namespace {
-
-/// WAL op codes. Records are full redo records: replaying the durable
-/// log into a fresh database reproduces the state (see RecoverInto).
-enum WalOp : uint8_t {
-  kWalNewLabel = 1,
-  kWalNewRelType = 2,
-  kWalNewPropKey = 3,
-  kWalCreateIndex = 4,
-  kWalCreateNode = 5,
-  kWalCreateRel = 6,
-  kWalSetNodeProp = 7,
-  kWalSetRelProp = 8,
-  kWalDeleteRel = 9,
-  kWalDeleteNode = 10,
-};
-
-void AppendU64(std::vector<uint8_t>* out, uint64_t v) {
-  const uint8_t* p = reinterpret_cast<const uint8_t*>(&v);
-  out->insert(out->end(), p, p + sizeof(v));
-}
-
-Result<uint64_t> ReadU64(const std::vector<uint8_t>& data, size_t* offset) {
-  if (*offset + sizeof(uint64_t) > data.size()) {
-    return Status::Corruption("WAL record truncated");
-  }
-  uint64_t v;
-  std::memcpy(&v, data.data() + *offset, sizeof(v));
-  *offset += sizeof(v);
-  return v;
-}
-
-void AppendString(std::vector<uint8_t>* out, const std::string& s) {
-  AppendU64(out, s.size());
-  out->insert(out->end(), s.begin(), s.end());
-}
-
-Result<std::string> ReadString(const std::vector<uint8_t>& data,
-                               size_t* offset) {
-  MBQ_ASSIGN_OR_RETURN(uint64_t size, ReadU64(data, offset));
-  if (*offset + size > data.size()) {
-    return Status::Corruption("WAL string truncated");
-  }
-  std::string s(reinterpret_cast<const char*>(data.data() + *offset), size);
-  *offset += size;
-  return s;
-}
-
-}  // namespace
-
 GraphDb::GraphDb(GraphDbOptions options) : options_(options) {
+  MBQ_CHECK_MSG(!options_.wal_enabled,
+                "GraphDbOptions::wal_enabled: the record store has no "
+                "redo log; open a writable engine with a WAL directory");
   io_clock_ = std::make_unique<VirtualClock>();
   disk_ = std::make_unique<storage::SimulatedDisk>(options_.disk_profile,
                                                    io_clock_.get());
@@ -71,9 +23,6 @@ GraphDb::GraphDb(GraphDbOptions options) : options_(options) {
                                    : storage::WritePolicy::kWriteBack;
   cache_options.flush_all_when_full = false;  // evict-one, Neo4j style
   cache_ = std::make_unique<storage::BufferCache>(disk_.get(), cache_options);
-  wal_disk_ = std::make_unique<storage::SimulatedDisk>(options_.disk_profile,
-                                                       io_clock_.get());
-  wal_ = std::make_unique<storage::Wal>(wal_disk_.get());
   extents_ = std::make_unique<storage::ExtentAllocator>(disk_.get(), 8);
   accountant_ =
       std::make_unique<storage::StorageAccountant>(cache_.get(), extents_.get());
@@ -107,14 +56,6 @@ GraphDb::GraphDb(GraphDbOptions options) : options_(options) {
                     static_cast<double>(cache.flush_stalls), "events");
         sink->Gauge("nodestore.page_cache.resident_bytes",
                     static_cast<double>(cache_->resident_bytes()), "bytes");
-        sink->Gauge("nodestore.wal.syncs",
-                    static_cast<double>(wal_->syncs()), "syncs");
-        sink->Gauge("nodestore.wal.pages_written",
-                    static_cast<double>(wal_->pages_written()), "pages");
-        sink->Gauge("nodestore.wal.records",
-                    static_cast<double>(wal_->next_lsn()), "records");
-        sink->Gauge("nodestore.wal.durable_bytes",
-                    static_cast<double>(wal_->durable_bytes()), "bytes");
         const storage::DiskStats disk = disk_->stats();
         sink->Gauge("nodestore.disk.page_reads",
                     static_cast<double>(disk.page_reads), "pages");
@@ -149,7 +90,6 @@ Result<LabelId> GraphDb::Label(const std::string& name) {
   label_ids_[name] = id;
   label_scan_.emplace_back();
   label_counts_.push_back(0);
-  LogOpWithName(kWalNewLabel, name);
   return id;
 }
 
@@ -173,7 +113,6 @@ Result<RelTypeId> GraphDb::RelType(const std::string& name) {
   RelTypeId id = static_cast<RelTypeId>(rel_type_names_.size());
   rel_type_names_.push_back(name);
   rel_type_ids_[name] = id;
-  LogOpWithName(kWalNewRelType, name);
   return id;
 }
 
@@ -196,7 +135,6 @@ PropKeyId GraphDb::PropKey(const std::string& name) {
   PropKeyId id = static_cast<PropKeyId>(prop_key_names_.size());
   prop_key_names_.push_back(name);
   prop_key_ids_[name] = id;
-  LogOpWithName(kWalNewPropKey, name);
   return id;
 }
 
@@ -265,45 +203,7 @@ Status GraphDb::FreeRel(RelId id) {
   return RelStoreFor(id)->Free(id & kRelLocalMask);
 }
 
-// ------------------------------------------------------------ WAL & undo
-
-void GraphDb::LogRecord(std::vector<uint8_t> payload) {
-  if (!options_.wal_enabled || replaying_) return;
-  wal_->Append(payload);
-  if (!in_tx_) {
-    Status st = wal_->Sync();  // auto-commit
-    MBQ_CHECK(st.ok());
-  }
-}
-
-void GraphDb::LogOp(uint8_t op, RecordId a, RecordId b, RecordId c) {
-  if (!options_.wal_enabled || replaying_) return;
-  std::vector<uint8_t> payload;
-  payload.push_back(op);
-  AppendU64(&payload, a);
-  AppendU64(&payload, b);
-  AppendU64(&payload, c);
-  LogRecord(std::move(payload));
-}
-
-void GraphDb::LogOpWithValue(uint8_t op, RecordId a, RecordId b,
-                             const Value& value) {
-  if (!options_.wal_enabled || replaying_) return;
-  std::vector<uint8_t> payload;
-  payload.push_back(op);
-  AppendU64(&payload, a);
-  AppendU64(&payload, b);
-  common::EncodeValue(value, &payload);
-  LogRecord(std::move(payload));
-}
-
-void GraphDb::LogOpWithName(uint8_t op, const std::string& name) {
-  if (!options_.wal_enabled || replaying_) return;
-  std::vector<uint8_t> payload;
-  payload.push_back(op);
-  AppendString(&payload, name);
-  LogRecord(std::move(payload));
-}
+// ------------------------------------------------------------------ Undo
 
 void GraphDb::PushUndo(std::function<Status()> undo) {
   if (in_tx_) undo_log_.push_back(std::move(undo));
@@ -324,7 +224,6 @@ Result<NodeId> GraphDb::CreateNode(LabelId label) {
   label_scan_[label].push_back(id);
   ++label_counts_[label];
   ++num_nodes_;
-  LogOp(kWalCreateNode, id, label, 0);
   PushUndo([this, id]() { return DeleteNode(id); });
   return id;
 }
@@ -422,15 +321,6 @@ Result<RelId> GraphDb::CreateRelationship(RelTypeId type, NodeId src,
     MBQ_RETURN_IF_ERROR(SetChainHead(dst, type, id));
   }
   ++num_rels_;
-  {
-    std::vector<uint8_t> payload;
-    payload.push_back(kWalCreateRel);
-    AppendU64(&payload, id);
-    AppendU64(&payload, src);
-    AppendU64(&payload, dst);
-    AppendU64(&payload, type);
-    LogRecord(std::move(payload));
-  }
   PushUndo([this, id]() { return DeleteRelationship(id); });
   return id;
 }
@@ -476,7 +366,6 @@ Status GraphDb::DeleteRelationship(RelId rel_id) {
   MBQ_RETURN_IF_ERROR(PutRel(rel_id, cleared));
   MBQ_RETURN_IF_ERROR(FreeRel(rel_id));
   --num_rels_;
-  LogOp(kWalDeleteRel, rel_id, rel.src, rel.dst);
   RelTypeId type = rel.type;
   NodeId src = rel.src;
   NodeId dst = rel.dst;
@@ -533,7 +422,6 @@ Status GraphDb::DeleteNode(NodeId node) {
   MBQ_RETURN_IF_ERROR(node_store_->Free(node));
   --label_counts_[rec.label];
   --num_nodes_;
-  LogOp(kWalDeleteNode, node, rec.label, 0);
   LabelId label = rec.label;
   PushUndo([this, label]() { return CreateNode(label).status(); });
   return Status::OK();
@@ -792,7 +680,6 @@ Status GraphDb::SetNodeProperty(NodeId node, PropKeyId key,
   }
   MBQ_RETURN_IF_ERROR(
       UpdateIndexesOnPropertyChange(node, key, old_value, value));
-  LogOpWithValue(kWalSetNodeProp, node, key, value);
   if (had_old) {
     PushUndo([this, node, key, old_value]() {
       return SetNodeProperty(node, key, old_value);
@@ -815,7 +702,6 @@ Status GraphDb::SetRelProperty(RelId rel, PropKeyId key, const Value& value) {
     rec.first_prop = first;
     MBQ_RETURN_IF_ERROR(PutRel(rel, rec));
   }
-  LogOpWithValue(kWalSetRelProp, rel, key, value);
   return Status::OK();
 }
 
@@ -1057,7 +943,6 @@ Status GraphDb::CreateIndex(LabelId label, PropKeyId key, bool unique) {
   }));
   MBQ_RETURN_IF_ERROR(status);
   indexes_.push_back(std::move(index));
-  LogOp(kWalCreateIndex, label, key, unique ? 1 : 0);
   return Status::OK();
 }
 
@@ -1198,9 +1083,6 @@ Status GraphDb::Transaction::Commit() {
   active_ = false;
   db_->in_tx_ = false;
   db_->undo_log_.clear();
-  if (db_->options_.wal_enabled) {
-    return db_->wal_->Sync();
-  }
   return Status::OK();
 }
 
@@ -1229,9 +1111,7 @@ storage::BufferCacheStats GraphDb::cache_stats() const {
 
 storage::DiskStats GraphDb::disk_stats() const { return disk_->stats(); }
 
-uint64_t GraphDb::DiskSizeBytes() const {
-  return disk_->SizeBytes() + wal_disk_->SizeBytes();
-}
+uint64_t GraphDb::DiskSizeBytes() const { return disk_->SizeBytes(); }
 
 uint64_t GraphDb::SimulatedIoNanos() const { return io_clock_->NowNanos(); }
 
@@ -1254,106 +1134,6 @@ Result<uint64_t> GraphDb::ComputeDenseNodes() {
     if (is_dense) ++dense;
   }
   return dense;
-}
-
-}  // namespace mbq::nodestore
-
-namespace mbq::nodestore {
-
-Status GraphDb::RecoverInto(GraphDb* target) const {
-  if (target->num_nodes_ != 0 || target->num_rels_ != 0 ||
-      !target->label_names_.empty()) {
-    return Status::FailedPrecondition(
-        "RecoverInto requires a freshly constructed target");
-  }
-  target->replaying_ = true;
-  Status status = wal_->Replay([&](uint64_t lsn,
-                                   const std::vector<uint8_t>& payload)
-                                   -> Status {
-    if (payload.empty()) {
-      return Status::Corruption("empty WAL record at lsn " +
-                                std::to_string(lsn));
-    }
-    size_t offset = 1;
-    switch (payload[0]) {
-      case kWalNewLabel: {
-        MBQ_ASSIGN_OR_RETURN(std::string name, ReadString(payload, &offset));
-        return target->Label(name).status();
-      }
-      case kWalNewRelType: {
-        MBQ_ASSIGN_OR_RETURN(std::string name, ReadString(payload, &offset));
-        return target->RelType(name).status();
-      }
-      case kWalNewPropKey: {
-        MBQ_ASSIGN_OR_RETURN(std::string name, ReadString(payload, &offset));
-        target->PropKey(name);
-        return Status::OK();
-      }
-      case kWalCreateIndex: {
-        MBQ_ASSIGN_OR_RETURN(uint64_t label, ReadU64(payload, &offset));
-        MBQ_ASSIGN_OR_RETURN(uint64_t key, ReadU64(payload, &offset));
-        MBQ_ASSIGN_OR_RETURN(uint64_t unique, ReadU64(payload, &offset));
-        return target->CreateIndex(static_cast<LabelId>(label),
-                                   static_cast<PropKeyId>(key), unique != 0);
-      }
-      case kWalCreateNode: {
-        MBQ_ASSIGN_OR_RETURN(uint64_t id, ReadU64(payload, &offset));
-        MBQ_ASSIGN_OR_RETURN(uint64_t label, ReadU64(payload, &offset));
-        MBQ_ASSIGN_OR_RETURN(NodeId created,
-                             target->CreateNode(static_cast<LabelId>(label)));
-        if (created != id) {
-          return Status::Corruption("node id drift during recovery: logged " +
-                                    std::to_string(id) + ", replayed " +
-                                    std::to_string(created));
-        }
-        return Status::OK();
-      }
-      case kWalCreateRel: {
-        MBQ_ASSIGN_OR_RETURN(uint64_t id, ReadU64(payload, &offset));
-        MBQ_ASSIGN_OR_RETURN(uint64_t src, ReadU64(payload, &offset));
-        MBQ_ASSIGN_OR_RETURN(uint64_t dst, ReadU64(payload, &offset));
-        MBQ_ASSIGN_OR_RETURN(uint64_t type, ReadU64(payload, &offset));
-        MBQ_ASSIGN_OR_RETURN(
-            RelId created,
-            target->CreateRelationship(static_cast<RelTypeId>(type), src,
-                                       dst));
-        if (created != id) {
-          return Status::Corruption("rel id drift during recovery");
-        }
-        return Status::OK();
-      }
-      case kWalSetNodeProp: {
-        MBQ_ASSIGN_OR_RETURN(uint64_t node, ReadU64(payload, &offset));
-        MBQ_ASSIGN_OR_RETURN(uint64_t key, ReadU64(payload, &offset));
-        MBQ_ASSIGN_OR_RETURN(Value value,
-                             common::DecodeValue(payload, &offset));
-        return target->SetNodeProperty(node, static_cast<PropKeyId>(key),
-                                       value);
-      }
-      case kWalSetRelProp: {
-        MBQ_ASSIGN_OR_RETURN(uint64_t rel, ReadU64(payload, &offset));
-        MBQ_ASSIGN_OR_RETURN(uint64_t key, ReadU64(payload, &offset));
-        MBQ_ASSIGN_OR_RETURN(Value value,
-                             common::DecodeValue(payload, &offset));
-        return target->SetRelProperty(rel, static_cast<PropKeyId>(key),
-                                      value);
-      }
-      case kWalDeleteRel: {
-        MBQ_ASSIGN_OR_RETURN(uint64_t rel, ReadU64(payload, &offset));
-        return target->DeleteRelationship(rel);
-      }
-      case kWalDeleteNode: {
-        MBQ_ASSIGN_OR_RETURN(uint64_t node, ReadU64(payload, &offset));
-        return target->DeleteNode(node);
-      }
-      default:
-        return Status::Corruption("unknown WAL op " +
-                                  std::to_string(payload[0]));
-    }
-  });
-  target->replaying_ = false;
-  MBQ_RETURN_IF_ERROR(status);
-  return target->Flush();
 }
 
 }  // namespace mbq::nodestore

@@ -18,7 +18,6 @@
 #include "storage/buffer_cache.h"
 #include "storage/simulated_disk.h"
 #include "storage/storage_accountant.h"
-#include "storage/wal.h"
 #include "util/clock.h"
 #include "util/result.h"
 
@@ -37,10 +36,10 @@ enum class Direction : uint8_t { kOutgoing, kIncoming, kBoth };
 struct GraphDbOptions {
   /// Page cache size in bytes.
   uint64_t cache_bytes = 64ull << 20;
-  /// Log every mutation to the modelled redo log and sync it on commit.
-  /// Off by default: it serves direct transactions and RecoverInto
-  /// (turn it on for those), while a writable engine logs its batches to
-  /// its own group-commit WAL and refuses a store with this on.
+  /// The record store has no redo log of its own. This field is kept so
+  /// code that sets it to false still compiles; true aborts in the
+  /// constructor, naming the field. A writable engine logs its committed
+  /// batches to its group-commit WAL (docs/WRITES.md).
   bool wal_enabled = false;
   /// Write dirty pages straight through to disk (the import tool "writes
   /// continuously and concurrently to disk") instead of write-back.
@@ -178,8 +177,9 @@ class GraphDb {
 
   // -------------------------------------------------------- Transactions
   /// RAII transaction scope. Mutations made while a transaction is open
-  /// are logged; Commit() makes them durable; destruction without commit
-  /// rolls them back by applying inverse operations.
+  /// record their inverse in an in-memory undo log; Commit() keeps them,
+  /// and destruction without commit rolls them back by applying the
+  /// inverses newest-first.
   class Transaction {
    public:
     explicit Transaction(GraphDb* db);
@@ -229,19 +229,9 @@ class GraphDb {
   /// Figure 2 narrative. Returns the number of dense nodes.
   Result<uint64_t> ComputeDenseNodes();
 
-  /// Crash recovery: replays this database's durable write-ahead log into
-  /// `target`, a freshly constructed GraphDb, reproducing every synced
-  /// mutation (schema registrations, nodes, relationships, properties,
-  /// deletions, index creations). Unsynced tail records are lost, as a
-  /// crash would lose them. Limitations: the log carries no commit
-  /// markers, so a transaction whose records straddle the durable
-  /// boundary is partially applied; dense-node flags are derived state
-  /// and must be recomputed.
-  Status RecoverInto(GraphDb* target) const;
-
   // ---------------------------------------------------------- Integrity
   // Raw record access for the storage checker (src/core/check.cc). These
-  // read/write records verbatim — no chain maintenance, no WAL, no undo —
+  // read/write records verbatim — no chain maintenance, no undo —
   // so writes exist solely for fault injection in checkdb tests.
   /// One past the highest node id ever allocated.
   NodeId NodeHighId() const;
@@ -269,11 +259,6 @@ class GraphDb {
     uint32_t stream = 0;
   };
 
-  // WAL payload helpers.
-  void LogRecord(std::vector<uint8_t> payload);
-  void LogOp(uint8_t op, RecordId a, RecordId b, RecordId c);
-  void LogOpWithValue(uint8_t op, RecordId a, RecordId b, const Value& value);
-  void LogOpWithName(uint8_t op, const std::string& name);
   void PushUndo(std::function<Status()> undo);
 
   Status UnlinkRelationship(const RelRecord& rel, RelId rel_id);
@@ -298,8 +283,6 @@ class GraphDb {
   std::unique_ptr<VirtualClock> io_clock_;
   std::unique_ptr<storage::SimulatedDisk> disk_;
   std::unique_ptr<storage::BufferCache> cache_;
-  std::unique_ptr<storage::SimulatedDisk> wal_disk_;
-  std::unique_ptr<storage::Wal> wal_;
   std::unique_ptr<storage::ExtentAllocator> extents_;
   // Property-index streams: byteless pages beside the record files' byte
   // pages in the same cache and on the same disk.
@@ -359,9 +342,6 @@ class GraphDb {
   cache::EpochRegistry epochs_;
 
   bool in_tx_ = false;
-  /// True while this database is the target of RecoverInto (suppresses
-  /// re-logging of replayed operations).
-  bool replaying_ = false;
   std::vector<std::function<Status()>> undo_log_;
 
   /// Reports this instance's `nodestore.*` gauges at snapshot time;

@@ -7,7 +7,6 @@
 #include "nodestore/record_file.h"
 #include "nodestore/records.h"
 #include "nodestore/traversal.h"
-#include "util/rng.h"
 
 namespace mbq::nodestore {
 namespace {
@@ -398,20 +397,6 @@ TEST_F(GraphDbTest, RollbackRestoresPropertyValues) {
   EXPECT_EQ(db_->GetNodeProperty(node, name_)->AsString(), "old");
 }
 
-TEST_F(GraphDbTest, WalRecordsSurviveSync) {
-  GraphDbOptions options = FastOptions();
-  options.wal_enabled = true;
-  GraphDb db(options);
-  LabelId user = *db.Label("user");
-  {
-    auto tx = db.BeginTx();
-    ASSERT_TRUE(db.CreateNode(user).ok());
-    ASSERT_TRUE(db.CreateNode(user).ok());
-    ASSERT_TRUE(tx.Commit().ok());
-  }
-  EXPECT_EQ(db.NumNodes(), 2u);
-}
-
 // -------------------------------------------------------- TraversalDesc
 
 class TraversalTest : public GraphDbTest {
@@ -565,184 +550,6 @@ TEST(GraphDbFaultTest, ColdReadSurfacesIoErrorAndRecovers) {
     EXPECT_EQ(v->AsString(), "user-" + std::to_string(i));
   }
 }
-
-}  // namespace
-}  // namespace mbq::nodestore
-
-namespace mbq::nodestore {
-namespace {
-
-// ------------------------------------------------------------ WAL recovery
-
-GraphDbOptions WalOptions() {
-  GraphDbOptions options;
-  options.disk_profile = storage::DiskProfile::Instant();
-  options.wal_enabled = true;
-  return options;
-}
-
-TEST(WalRecoveryTest, ReplaysSchemaDataAndIndexes) {
-  GraphDb db(WalOptions());
-  auto user = *db.Label("user");
-  auto follows = *db.RelType("follows");
-  auto uid = db.PropKey("uid");
-  auto bio = db.PropKey("bio");
-  std::vector<NodeId> nodes;
-  {
-    auto tx = db.BeginTx();
-    for (int i = 0; i < 10; ++i) {
-      NodeId n = *db.CreateNode(user);
-      ASSERT_TRUE(db.SetNodeProperty(n, uid, common::Value::Int(i)).ok());
-      nodes.push_back(n);
-    }
-    for (int i = 0; i < 9; ++i) {
-      ASSERT_TRUE(
-          db.CreateRelationship(follows, nodes[i], nodes[i + 1]).ok());
-    }
-    ASSERT_TRUE(db.SetNodeProperty(nodes[3], bio,
-                                   common::Value::String(
-                                       std::string(500, 'b')))
-                    .ok());
-    ASSERT_TRUE(tx.Commit().ok());
-  }
-  ASSERT_TRUE(db.CreateIndex(user, uid, /*unique=*/true).ok());
-
-  GraphDb recovered(WalOptions());
-  ASSERT_TRUE(db.RecoverInto(&recovered).ok());
-  EXPECT_EQ(recovered.NumNodes(), db.NumNodes());
-  EXPECT_EQ(recovered.NumRels(), db.NumRels());
-  auto r_user = recovered.FindLabel("user");
-  ASSERT_TRUE(r_user.ok());
-  EXPECT_TRUE(recovered.HasIndex(*r_user, *recovered.FindPropKey("uid")));
-  for (int i = 0; i < 10; ++i) {
-    EXPECT_EQ(recovered.GetNodeProperty(nodes[i], uid)->AsInt(), i) << i;
-  }
-  EXPECT_EQ(recovered.GetNodeProperty(nodes[3], bio)->AsString(),
-            std::string(500, 'b'));
-  EXPECT_EQ(*recovered.Degree(nodes[4], Direction::kBoth, follows), 2u);
-  // Index works on the recovered database.
-  EXPECT_EQ(*recovered.IndexSeek(*r_user, *recovered.FindPropKey("uid"),
-                                 common::Value::Int(7)),
-            nodes[7]);
-}
-
-TEST(WalRecoveryTest, UnsyncedTailIsLost) {
-  GraphDb db(WalOptions());
-  auto user = *db.Label("user");
-  NodeId durable = *db.CreateNode(user);  // auto-commit: synced
-  {
-    auto tx = db.BeginTx();
-    NodeId pending = *db.CreateNode(user);  // appended, not yet synced
-    // "Crash" now: recovery sees only the durable prefix.
-    GraphDb crashed(WalOptions());
-    ASSERT_TRUE(db.RecoverInto(&crashed).ok());
-    EXPECT_TRUE(crashed.NodeExists(durable));
-    EXPECT_FALSE(crashed.NodeExists(pending));
-    EXPECT_EQ(crashed.NumNodes(), 1u);
-    // Commit makes it durable; recovery now sees it.
-    ASSERT_TRUE(tx.Commit().ok());
-    GraphDb recovered(WalOptions());
-    ASSERT_TRUE(db.RecoverInto(&recovered).ok());
-    EXPECT_TRUE(recovered.NodeExists(pending));
-    EXPECT_EQ(recovered.NumNodes(), 2u);
-  }
-}
-
-TEST(WalRecoveryTest, DeletesAndReuseReplayDeterministically) {
-  GraphDb db(WalOptions());
-  auto user = *db.Label("user");
-  auto follows = *db.RelType("follows");
-  auto uid = db.PropKey("uid");
-  std::vector<NodeId> nodes;
-  for (int i = 0; i < 6; ++i) {
-    nodes.push_back(*db.CreateNode(user));
-    ASSERT_TRUE(
-        db.SetNodeProperty(nodes[i], uid, common::Value::Int(i)).ok());
-  }
-  RelId r01 = *db.CreateRelationship(follows, nodes[0], nodes[1]);
-  ASSERT_TRUE(db.CreateRelationship(follows, nodes[1], nodes[2]).ok());
-  ASSERT_TRUE(db.DeleteRelationship(r01).ok());
-  // Freed rel id gets recycled; freed node id too.
-  ASSERT_TRUE(db.DetachDeleteNode(nodes[5]).ok());
-  ASSERT_TRUE(db.CreateRelationship(follows, nodes[2], nodes[3]).ok());
-  NodeId reborn = *db.CreateNode(user);
-  ASSERT_TRUE(db.SetNodeProperty(reborn, uid, common::Value::Int(99)).ok());
-
-  GraphDb recovered(WalOptions());
-  ASSERT_TRUE(db.RecoverInto(&recovered).ok());
-  EXPECT_EQ(recovered.NumNodes(), db.NumNodes());
-  EXPECT_EQ(recovered.NumRels(), db.NumRels());
-  EXPECT_EQ(recovered.GetNodeProperty(reborn, uid)->AsInt(), 99);
-  EXPECT_EQ(*recovered.Degree(nodes[0], Direction::kBoth, follows), 0u);
-  EXPECT_EQ(*recovered.Degree(nodes[2], Direction::kBoth, follows), 2u);
-}
-
-TEST(WalRecoveryTest, RejectsNonEmptyTarget) {
-  GraphDb db(WalOptions());
-  ASSERT_TRUE(db.Label("user").ok());
-  GraphDb target(WalOptions());
-  ASSERT_TRUE(target.Label("other").ok());
-  EXPECT_TRUE(db.RecoverInto(&target).IsFailedPrecondition());
-}
-
-// Randomized crash-consistency sweep: random op sequences, then replay
-// and compare observable state.
-class WalRecoveryPropertyTest : public ::testing::TestWithParam<uint64_t> {};
-
-TEST_P(WalRecoveryPropertyTest, ReplayMatchesOriginal) {
-  mbq::Rng rng(GetParam());
-  GraphDb db(WalOptions());
-  auto user = *db.Label("user");
-  auto follows = *db.RelType("follows");
-  auto uid = db.PropKey("uid");
-  std::vector<NodeId> live_nodes;
-  std::vector<RelId> live_rels;
-
-  for (int op = 0; op < 400; ++op) {
-    uint64_t roll = rng.NextBounded(100);
-    if (roll < 35 || live_nodes.size() < 2) {
-      NodeId n = *db.CreateNode(user);
-      ASSERT_TRUE(db.SetNodeProperty(n, uid,
-                                     common::Value::Int(
-                                         static_cast<int64_t>(op)))
-                      .ok());
-      live_nodes.push_back(n);
-    } else if (roll < 70) {
-      NodeId a = live_nodes[rng.NextBounded(live_nodes.size())];
-      NodeId b = live_nodes[rng.NextBounded(live_nodes.size())];
-      live_rels.push_back(*db.CreateRelationship(follows, a, b));
-    } else if (roll < 85 && !live_rels.empty()) {
-      size_t pick = rng.NextBounded(live_rels.size());
-      ASSERT_TRUE(db.DeleteRelationship(live_rels[pick]).ok());
-      live_rels[pick] = live_rels.back();
-      live_rels.pop_back();
-    } else {
-      NodeId n = live_nodes[rng.NextBounded(live_nodes.size())];
-      ASSERT_TRUE(db.SetNodeProperty(n, uid,
-                                     common::Value::Int(
-                                         static_cast<int64_t>(roll)))
-                      .ok());
-    }
-  }
-
-  GraphDb recovered(WalOptions());
-  ASSERT_TRUE(db.RecoverInto(&recovered).ok());
-  ASSERT_EQ(recovered.NumNodes(), db.NumNodes());
-  ASSERT_EQ(recovered.NumRels(), db.NumRels());
-  for (NodeId n : live_nodes) {
-    ASSERT_EQ(recovered.NodeExists(n), db.NodeExists(n)) << n;
-    if (!db.NodeExists(n)) continue;
-    EXPECT_EQ(recovered.GetNodeProperty(n, uid)->AsInt(),
-              db.GetNodeProperty(n, uid)->AsInt())
-        << n;
-    EXPECT_EQ(*recovered.Degree(n, Direction::kBoth, follows),
-              *db.Degree(n, Direction::kBoth, follows))
-        << n;
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, WalRecoveryPropertyTest,
-                         ::testing::Values(1u, 2u, 3u, 4u, 5u, 6u));
 
 }  // namespace
 }  // namespace mbq::nodestore
