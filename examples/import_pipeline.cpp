@@ -10,7 +10,6 @@
 
 #include "bitmapstore/script_loader.h"
 #include "nodestore/batch_importer.h"
-#include "obs/trace.h"
 #include "twitter/csv_export.h"
 #include "twitter/loaders.h"
 
@@ -36,8 +35,6 @@ int main() {
   // indexes built afterwards).
   mbq::nodestore::GraphDb db;
   mbq::nodestore::BatchImporter importer(&db);
-  mbq::obs::TraceLog ndb_trace;
-  importer.SetTraceLog(&ndb_trace);
   importer.SetProgressCallback(
       [](const mbq::common::ImportProgress& p) {
         std::printf("  [nodestore] %-16s %8llu objects  %10.1f ms\n",
@@ -51,17 +48,14 @@ int main() {
     std::printf("nodestore import failed\n");
     return 1;
   }
-  std::printf("nodestore: %llu nodes, %llu rels, %.1f MiB on disk\n",
+  std::printf("nodestore: %llu nodes, %llu rels, %.1f MiB on disk\n\n",
               static_cast<unsigned long long>(db.NumNodes()),
               static_cast<unsigned long long>(db.NumRels()),
               static_cast<double>(db.DiskSizeBytes()) / (1 << 20));
-  std::printf("phase breakdown (wall time):\n%s\n", ndb_trace.ToText().c_str());
 
   // Bitmap store: load script.
   mbq::bitmapstore::Graph graph;
   mbq::bitmapstore::ScriptLoader loader(&graph);
-  mbq::obs::TraceLog bm_trace;
-  loader.SetTraceLog(&bm_trace);
   loader.SetProgressCallback(
       [](const mbq::common::ImportProgress& p) {
         std::printf("  [bitmap]    %-16s %8llu objects  %10.1f ms\n",
@@ -82,7 +76,6 @@ int main() {
               static_cast<double>(graph.DiskSizeBytes()) / (1 << 20),
               static_cast<unsigned long long>(
                   graph.cache_stats().flush_stalls));
-  std::printf("phase breakdown (wall time):\n%s", bm_trace.ToText().c_str());
 
   std::filesystem::remove_all(dir);
   return 0;

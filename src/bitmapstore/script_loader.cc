@@ -4,7 +4,8 @@
 
 #include "common/csv.h"
 #include "obs/metrics.h"
-#include "util/clock.h"
+#include "obs/trace.h"
+#include "obs/trace_context.h"
 #include "util/string_util.h"
 
 namespace mbq::bitmapstore {
@@ -138,16 +139,18 @@ Status ScriptLoader::Execute(const std::string& script_text,
                              const std::string& base_dir) {
   wall_start_millis_ = NowWallMillis();
   io_start_nanos_ = graph_->SimulatedIoNanos();
-  obs::TraceSpan import_span(trace_, "import:bitmapstore");
+  // The load is an ingress: its spans share one trace and nest under the
+  // import span by parent id in /trace.json.
+  obs::ScopedTraceContext trace(obs::ChildOrRootContext());
+  obs::TraceSpan import_span("import:bitmapstore");
   for (std::string_view line : SplitString(script_text, '\n')) {
     std::vector<std::string> tokens = Tokenize(line);
     if (tokens.empty()) continue;
     MBQ_RETURN_IF_ERROR(ExecuteStatement(tokens, base_dir));
   }
-  import_span.AddItems(total_objects_);
   MBQ_RETURN_IF_ERROR(graph_->Flush());
   if (post_import_check_) {
-    obs::TraceSpan check_span(trace_, "post-import-check");
+    obs::TraceSpan check_span("post-import-check");
     MBQ_RETURN_IF_ERROR(post_import_check_());
   }
   return Status::OK();
@@ -221,18 +224,10 @@ Status ScriptLoader::LoadNodes(const std::vector<std::string>& tokens,
     bound.push_back({idx, attr, ValueType::kNull});
   }
   const std::string phase = "nodes:" + graph_->TypeName(type);
-  obs::TraceSpan span(trace_, phase);
-  WallClock clock;
-  uint64_t parse_nanos = 0;
-  uint64_t insert_nanos = 0;
+  obs::TraceSpan span(phase);
   std::vector<std::string> row;
   uint64_t phase_objects = 0;
-  for (;;) {
-    uint64_t t0 = clock.NowNanos();
-    bool more = reader.NextRow(&row);
-    uint64_t t1 = clock.NowNanos();
-    parse_nanos += t1 - t0;
-    if (!more) break;
+  while (reader.NextRow(&row)) {
     MBQ_ASSIGN_OR_RETURN(Oid node, graph_->NewNode(type));
     for (const BoundColumn& b : bound) {
       MBQ_ASSIGN_OR_RETURN(
@@ -242,21 +237,12 @@ Status ScriptLoader::LoadNodes(const std::vector<std::string>& tokens,
         MBQ_RETURN_IF_ERROR(graph_->SetAttribute(node, b.attr, value));
       }
     }
-    insert_nanos += clock.NowNanos() - t1;
     ++nodes_loaded_;
     ++total_objects_;
     ++phase_objects;
     ReportProgress(phase, phase_objects, false);
   }
   MBQ_RETURN_IF_ERROR(reader.status());
-  if (trace_ != nullptr) {
-    trace_->AppendChild("parse", static_cast<double>(parse_nanos) / 1e6,
-                        phase_objects);
-    trace_->AppendChild("node-insert",
-                        static_cast<double>(insert_nanos) / 1e6,
-                        phase_objects);
-  }
-  span.AddItems(phase_objects);
   obs::MetricsRegistry::Default()
       .GetCounter("bitmapstore.import.nodes", "nodes",
                   "nodes ingested by the script loader")
@@ -283,18 +269,10 @@ Status ScriptLoader::LoadEdges(const std::vector<std::string>& tokens,
     return Status::InvalidArgument("edge CSV needs at least two columns");
   }
   const std::string phase = "edges:" + graph_->TypeName(etype);
-  obs::TraceSpan span(trace_, phase);
-  WallClock clock;
-  uint64_t parse_nanos = 0;
-  uint64_t insert_nanos = 0;
+  obs::TraceSpan span(phase);
   std::vector<std::string> row;
   uint64_t phase_objects = 0;
-  for (;;) {
-    uint64_t t0 = clock.NowNanos();
-    bool more = reader.NextRow(&row);
-    uint64_t t1 = clock.NowNanos();
-    parse_nanos += t1 - t0;
-    if (!more) break;
+  while (reader.NextRow(&row)) {
     MBQ_ASSIGN_OR_RETURN(
         Value src_key,
         ParseTypedValue(row[0], graph_->AttributeType(from_bind.second)));
@@ -308,21 +286,12 @@ Status ScriptLoader::LoadEdges(const std::vector<std::string>& tokens,
                               row[1]);
     }
     MBQ_RETURN_IF_ERROR(graph_->NewEdge(etype, src, dst).status());
-    insert_nanos += clock.NowNanos() - t1;
     ++edges_loaded_;
     ++total_objects_;
     ++phase_objects;
     ReportProgress(phase, phase_objects, false);
   }
   MBQ_RETURN_IF_ERROR(reader.status());
-  if (trace_ != nullptr) {
-    trace_->AppendChild("parse", static_cast<double>(parse_nanos) / 1e6,
-                        phase_objects);
-    trace_->AppendChild("edge-insert",
-                        static_cast<double>(insert_nanos) / 1e6,
-                        phase_objects);
-  }
-  span.AddItems(phase_objects);
   obs::MetricsRegistry::Default()
       .GetCounter("bitmapstore.import.edges", "edges",
                   "edges ingested by the script loader")

@@ -7,7 +7,6 @@
 
 #include "bitmapstore/graph.h"
 #include "common/import_progress.h"
-#include "obs/trace.h"
 
 namespace mbq::bitmapstore {
 
@@ -36,11 +35,6 @@ class ScriptLoader {
 
   /// Calls `fn` every `interval` loaded objects (and at phase ends).
   void SetProgressCallback(ProgressFn fn, uint64_t interval);
-
-  /// Collects phase-level spans (per LOAD statement, split into parse vs
-  /// insert) into `trace`. The log must outlive Execute(); pass null to
-  /// disable tracing.
-  void SetTraceLog(obs::TraceLog* trace) { trace_ = trace; }
 
   /// Installs a verification step that runs after a successful load
   /// (post-flush); a non-OK return fails Execute(). Wire it to
@@ -73,7 +67,6 @@ class ScriptLoader {
   Graph* graph_;
   ProgressFn progress_;
   std::function<Status()> post_import_check_;
-  obs::TraceLog* trace_ = nullptr;
   uint64_t progress_interval_ = 100000;
   uint64_t nodes_loaded_ = 0;
   uint64_t edges_loaded_ = 0;

@@ -4,7 +4,8 @@
 
 #include "common/csv.h"
 #include "obs/metrics.h"
-#include "util/clock.h"
+#include "obs/trace.h"
+#include "obs/trace_context.h"
 #include "util/string_util.h"
 
 namespace mbq::nodestore {
@@ -80,18 +81,10 @@ Status BatchImporter::ImportNodeFile(const ImportSpec::NodeFile& file,
   }
   auto& mapper = id_mapper_[file.label];
   const std::string phase = "nodes:" + file.label;
-  obs::TraceSpan span(trace_, phase);
-  WallClock clock;
-  uint64_t parse_nanos = 0;
-  uint64_t insert_nanos = 0;
+  obs::TraceSpan span(phase);
   std::vector<std::string> row;
   uint64_t phase_objects = 0;
-  for (;;) {
-    uint64_t t0 = clock.NowNanos();
-    bool more = reader.NextRow(&row);
-    uint64_t t1 = clock.NowNanos();
-    parse_nanos += t1 - t0;
-    if (!more) break;
+  while (reader.NextRow(&row)) {
     MBQ_ASSIGN_OR_RETURN(NodeId node, db_->CreateNode(label));
     for (const Bound& b : bound) {
       Value v = CoerceField(row[b.csv_index]);
@@ -100,21 +93,12 @@ Status BatchImporter::ImportNodeFile(const ImportSpec::NodeFile& file,
       }
     }
     mapper.emplace(row[bound[0].csv_index], node);
-    insert_nanos += clock.NowNanos() - t1;
     ++nodes_imported_;
     ++total_objects_;
     ++phase_objects;
     Report(phase, phase_objects, false);
   }
   MBQ_RETURN_IF_ERROR(reader.status());
-  if (trace_ != nullptr) {
-    trace_->AppendChild("parse", static_cast<double>(parse_nanos) / 1e6,
-                        phase_objects);
-    trace_->AppendChild("node-insert",
-                        static_cast<double>(insert_nanos) / 1e6,
-                        phase_objects);
-  }
-  span.AddItems(phase_objects);
   obs::MetricsRegistry::Default()
       .GetCounter("nodestore.import.nodes", "nodes",
                   "nodes ingested by the batch importer")
@@ -139,18 +123,10 @@ Status BatchImporter::ImportRelFile(const ImportSpec::RelFile& file,
         "relationship file references labels not yet imported");
   }
   const std::string phase = "rels:" + file.type;
-  obs::TraceSpan span(trace_, phase);
-  WallClock clock;
-  uint64_t parse_nanos = 0;
-  uint64_t link_nanos = 0;
+  obs::TraceSpan span(phase);
   std::vector<std::string> row;
   uint64_t phase_objects = 0;
-  for (;;) {
-    uint64_t t0 = clock.NowNanos();
-    bool more = reader.NextRow(&row);
-    uint64_t t1 = clock.NowNanos();
-    parse_nanos += t1 - t0;
-    if (!more) break;
+  while (reader.NextRow(&row)) {
     auto src = src_mapper->second.find(row[0]);
     auto dst = dst_mapper->second.find(row[1]);
     if (src == src_mapper->second.end() || dst == dst_mapper->second.end()) {
@@ -159,20 +135,12 @@ Status BatchImporter::ImportRelFile(const ImportSpec::RelFile& file,
     }
     MBQ_RETURN_IF_ERROR(
         db_->CreateRelationship(type, src->second, dst->second).status());
-    link_nanos += clock.NowNanos() - t1;
     ++rels_imported_;
     ++total_objects_;
     ++phase_objects;
     Report(phase, phase_objects, false);
   }
   MBQ_RETURN_IF_ERROR(reader.status());
-  if (trace_ != nullptr) {
-    trace_->AppendChild("parse", static_cast<double>(parse_nanos) / 1e6,
-                        phase_objects);
-    trace_->AppendChild("rel-chain-link",
-                        static_cast<double>(link_nanos) / 1e6, phase_objects);
-  }
-  span.AddItems(phase_objects);
   obs::MetricsRegistry::Default()
       .GetCounter("nodestore.import.rels", "rels",
                   "relationships ingested by the batch importer")
@@ -184,7 +152,10 @@ Status BatchImporter::ImportRelFile(const ImportSpec::RelFile& file,
 Status BatchImporter::Run(const ImportSpec& spec, const std::string& base_dir) {
   wall_start_millis_ = NowWallMillis();
   io_start_nanos_ = db_->SimulatedIoNanos();
-  obs::TraceSpan import_span(trace_, "import:nodestore");
+  // The import is an ingress: its spans share one trace and nest under
+  // the import span by parent id in /trace.json.
+  obs::ScopedTraceContext trace(obs::ChildOrRootContext());
+  obs::TraceSpan import_span("import:nodestore");
 
   for (const auto& file : spec.nodes) {
     MBQ_RETURN_IF_ERROR(ImportNodeFile(file, base_dir));
@@ -198,9 +169,8 @@ Status BatchImporter::Run(const ImportSpec& spec, const std::string& base_dir) {
   }
 
   {
-    obs::TraceSpan dense_span(trace_, "dense-nodes");
+    obs::TraceSpan dense_span("dense-nodes");
     MBQ_ASSIGN_OR_RETURN(dense_nodes_, db_->ComputeDenseNodes());
-    dense_span.AddItems(dense_nodes_);
   }
   obs::MetricsRegistry::Default()
       .GetCounter("nodestore.import.dense_nodes", "nodes",
@@ -213,20 +183,17 @@ Status BatchImporter::Run(const ImportSpec& spec, const std::string& base_dir) {
   for (const auto& index : spec.indexes) {
     MBQ_ASSIGN_OR_RETURN(LabelId label, db_->FindLabel(index.label));
     PropKeyId key = db_->PropKey(index.property);
-    obs::TraceSpan index_span(trace_,
-                              "index:" + index.label + "." + index.property);
+    obs::TraceSpan index_span("index:" + index.label + "." + index.property);
     MBQ_RETURN_IF_ERROR(db_->CreateIndex(label, key, index.unique));
-    index_span.AddItems(db_->CountNodesWithLabel(label));
     Report("index:" + index.label + "." + index.property,
            db_->CountNodesWithLabel(label), true);
   }
 
   MBQ_RETURN_IF_ERROR(db_->Flush());
   if (post_import_check_) {
-    obs::TraceSpan check_span(trace_, "post-import-check");
+    obs::TraceSpan check_span("post-import-check");
     MBQ_RETURN_IF_ERROR(post_import_check_());
   }
-  import_span.AddItems(total_objects_);
   Report("done", 0, true);
   return Status::OK();
 }

@@ -9,7 +9,6 @@
 #include "common/import_progress.h"
 #include "common/value.h"
 #include "nodestore/graph_db.h"
-#include "obs/trace.h"
 
 namespace mbq::nodestore {
 
@@ -54,19 +53,13 @@ struct ImportSpec {
 /// per-chunk timing series plotted in the paper's Figure 2.
 ///
 /// The target database should be configured with `write_through = true`
-/// (and the default `wal_enabled = false`) for a faithful import-tool
-/// setup.
+/// for a faithful import-tool setup.
 class BatchImporter {
  public:
   explicit BatchImporter(GraphDb* db);
 
   /// Calls `fn` every `interval` imported entities and at phase ends.
   void SetProgressCallback(ProgressFn fn, uint64_t interval);
-
-  /// Collects phase-level spans (per input file, split into parse vs
-  /// insert, plus the dense-node and index-build steps) into `trace`.
-  /// The log must outlive Run(); pass null to disable tracing.
-  void SetTraceLog(obs::TraceLog* trace) { trace_ = trace; }
 
   /// Installs a verification step that runs after a successful import
   /// (post-flush); a non-OK return fails Run(). Wire it to
@@ -93,7 +86,6 @@ class BatchImporter {
   GraphDb* db_;
   ProgressFn progress_;
   std::function<Status()> post_import_check_;
-  obs::TraceLog* trace_ = nullptr;
   uint64_t progress_interval_ = 100000;
   uint64_t nodes_imported_ = 0;
   uint64_t rels_imported_ = 0;

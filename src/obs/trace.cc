@@ -1,103 +1,15 @@
 #include "obs/trace.h"
 
-#include <cstdio>
+#include <utility>
 
 #include "obs/introspect.h"
 
 namespace mbq::obs {
 
-// ----------------------------------------------------------------- TraceLog
-
-void TraceLog::Clear() {
-  spans_.clear();
-  depth_ = 0;
-  started_ = false;
-  origin_nanos_ = 0;
-}
-
-size_t TraceLog::Begin(const std::string& name) {
-  uint64_t now = clock_.NowNanos();
-  if (!started_) {
-    started_ = true;
-    origin_nanos_ = now;
-  }
-  Span span;
-  span.name = name;
-  span.depth = depth_++;
-  span.start_millis = static_cast<double>(now - origin_nanos_) / 1e6;
-  span.duration_millis = -1;  // running
-  spans_.push_back(std::move(span));
-  return spans_.size() - 1;
-}
-
-void TraceLog::End(size_t slot, uint64_t duration_nanos, uint64_t items) {
-  if (slot >= spans_.size()) return;
-  spans_[slot].duration_millis = static_cast<double>(duration_nanos) / 1e6;
-  spans_[slot].items = items;
-  if (depth_ > 0) --depth_;
-}
-
-void TraceLog::AppendChild(const std::string& name, double duration_millis,
-                           uint64_t items) {
-  uint64_t now = clock_.NowNanos();
-  if (!started_) {
-    started_ = true;
-    origin_nanos_ = now;
-  }
-  Span span;
-  span.name = name;
-  span.depth = depth_;  // child of the currently open span
-  span.start_millis = static_cast<double>(now - origin_nanos_) / 1e6;
-  span.duration_millis = duration_millis;
-  span.items = items;
-  spans_.push_back(std::move(span));
-}
-
-std::string TraceLog::ToText() const {
-  std::string out;
-  for (const Span& s : spans_) {
-    char buf[256];
-    std::string indent(static_cast<size_t>(s.depth) * 2, ' ');
-    if (s.items > 0 && s.duration_millis > 0) {
-      std::snprintf(buf, sizeof(buf),
-                    "%s%-28s %10.1f ms  %12llu items  %10.0f items/s\n",
-                    indent.c_str(), s.name.c_str(), s.duration_millis,
-                    static_cast<unsigned long long>(s.items),
-                    static_cast<double>(s.items) / s.duration_millis * 1000.0);
-    } else {
-      std::snprintf(buf, sizeof(buf), "%s%-28s %10.1f ms\n", indent.c_str(),
-                    s.name.c_str(), s.duration_millis);
-    }
-    out += buf;
-  }
-  return out;
-}
-
-std::string TraceLog::ToJson() const {
-  std::string out = "[";
-  bool first = true;
-  for (const Span& s : spans_) {
-    out += first ? "\n" : ",\n";
-    first = false;
-    char buf[320];
-    std::snprintf(buf, sizeof(buf),
-                  "  {\"name\": \"%s\", \"depth\": %d, \"start_ms\": %.3f, "
-                  "\"duration_ms\": %.3f, \"items\": %llu}",
-                  s.name.c_str(), s.depth, s.start_millis, s.duration_millis,
-                  static_cast<unsigned long long>(s.items));
-    out += buf;
-  }
-  out += "\n]\n";
-  return out;
-}
-
-// ---------------------------------------------------------------- TraceSpan
-
-TraceSpan::TraceSpan(TraceLog* log, std::string name, Histogram* latency)
-    : log_(log), latency_(latency), name_(std::move(name)) {
+TraceSpan::TraceSpan(std::string name, Histogram* latency)
+    : latency_(latency), name_(std::move(name)) {
   if (!name_.empty()) trace_scope_.emplace();  // child of any active trace
   start_nanos_ = clock_.NowNanos();
-  if (log_ != nullptr) slot_ = log_->Begin(name_);
 }
 
 TraceSpan::TraceSpan(Histogram* latency) : latency_(latency) {
@@ -108,7 +20,6 @@ void TraceSpan::Finish() {
   if (finished_) return;
   finished_ = true;
   uint64_t elapsed = clock_.NowNanos() - start_nanos_;
-  if (log_ != nullptr) log_->End(slot_, elapsed, items_);
   if (latency_ != nullptr) latency_->Record(elapsed);
   if (!name_.empty()) {
     // Record while the child context is still installed so the span

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <optional>
 #include <string>
-#include <vector>
 
 #include "obs/metrics.h"
 #include "obs/trace_context.h"
@@ -12,83 +11,29 @@
 
 namespace mbq::obs {
 
-class TraceSpan;
-
-/// An ordered record of finished spans, kept in tree order (a parent's
-/// entry precedes its children's). Batch importers fill one of these with
-/// their phase-level spans — the introspection behind the paper's
-/// Figure 2/3 import-time discussion — and callers render it as an
-/// indented text tree or JSON.
-class TraceLog {
- public:
-  struct Span {
-    std::string name;
-    int depth = 0;
-    /// Start offset from the log's first span, milliseconds.
-    double start_millis = 0;
-    double duration_millis = 0;
-    /// Work items the span covered (rows parsed, nodes inserted, ...).
-    uint64_t items = 0;
-  };
-
-  const std::vector<Span>& spans() const { return spans_; }
-  void Clear();
-
-  /// Appends an already-measured span as a child of the currently open
-  /// span. Importers use this to split one phase into sub-steps (parse
-  /// vs insert) timed with plain accumulators rather than nested scopes;
-  /// the start offset is the moment of the append.
-  void AppendChild(const std::string& name, double duration_millis,
-                   uint64_t items = 0);
-
-  /// Indented tree: name, duration, items and items/s per span.
-  std::string ToText() const;
-  std::string ToJson() const;
-
- private:
-  friend class TraceSpan;
-
-  /// Reserves a slot so parents appear before children; returns its index.
-  size_t Begin(const std::string& name);
-  void End(size_t slot, uint64_t duration_nanos, uint64_t items);
-
-  WallClock clock_;
-  std::vector<Span> spans_;
-  int depth_ = 0;
-  bool started_ = false;
-  uint64_t origin_nanos_ = 0;
-};
-
-/// RAII scoped timer. On destruction (or Finish()) it appends a span to
-/// the TraceLog, records the elapsed nanoseconds into the Histogram, or
-/// both — either sink may be null. Named spans (the TraceLog overload)
-/// additionally land in the process-wide SpanRecorder, so the stats
-/// server's /trace endpoint covers import phases out of the box; they
-/// open a child TraceContext for their extent, so anything they call
-/// (including RPCs) nests under them in a stitched trace.
+/// RAII scoped timer. On destruction (or Finish()) it records the elapsed
+/// nanoseconds into the Histogram (which may be null). A named span also
+/// lands in the process-wide SpanRecorder, so the stats server's /trace
+/// and /trace.json cover import phases out of the box. It opens a child
+/// TraceContext for its extent, so every span it encloses (including
+/// RPCs) nests under it by parent id.
 class TraceSpan {
  public:
-  TraceSpan(TraceLog* log, std::string name, Histogram* latency = nullptr);
+  explicit TraceSpan(std::string name, Histogram* latency = nullptr);
   explicit TraceSpan(Histogram* latency);
   ~TraceSpan() { Finish(); }
 
   TraceSpan(const TraceSpan&) = delete;
   TraceSpan& operator=(const TraceSpan&) = delete;
 
-  /// Accumulates work items attributed to this span.
-  void AddItems(uint64_t n) { items_ += n; }
-
   void Finish();
 
  private:
-  TraceLog* log_ = nullptr;
   Histogram* latency_ = nullptr;
   std::string name_;  // non-empty spans forward to SpanRecorder::Global()
   /// Child context held open until Finish(); inert outside a trace.
   std::optional<ScopedTraceContext> trace_scope_;
-  size_t slot_ = 0;
   uint64_t start_nanos_ = 0;
-  uint64_t items_ = 0;
   bool finished_ = false;
   WallClock clock_;
 };

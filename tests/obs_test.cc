@@ -170,77 +170,13 @@ TEST(SnapshotTest, ValueOfAndHas) {
 
 // ------------------------------------------------------------------- Trace
 
-TEST(TraceTest, NestedSpansRecordDepthInTreeOrder) {
-  TraceLog log;
-  {
-    TraceSpan outer(&log, "outer");
-    {
-      TraceSpan inner(&log, "inner");
-      inner.AddItems(10);
-    }
-    { TraceSpan sibling(&log, "sibling"); }
-    outer.AddItems(3);
-  }
-  ASSERT_EQ(log.spans().size(), 3u);
-  EXPECT_EQ(log.spans()[0].name, "outer");
-  EXPECT_EQ(log.spans()[0].depth, 0);
-  EXPECT_EQ(log.spans()[0].items, 3u);
-  EXPECT_EQ(log.spans()[1].name, "inner");
-  EXPECT_EQ(log.spans()[1].depth, 1);
-  EXPECT_EQ(log.spans()[1].items, 10u);
-  EXPECT_EQ(log.spans()[2].name, "sibling");
-  EXPECT_EQ(log.spans()[2].depth, 1);
-  // Every span finished (duration filled in).
-  for (const auto& span : log.spans()) {
-    EXPECT_GE(span.duration_millis, 0.0);
-  }
-}
-
-TEST(TraceTest, AppendChildNestsUnderOpenSpan) {
-  TraceLog log;
-  {
-    TraceSpan phase(&log, "phase");
-    log.AppendChild("parse", 1.5, 100);
-    log.AppendChild("insert", 2.5, 100);
-  }
-  ASSERT_EQ(log.spans().size(), 3u);
-  EXPECT_EQ(log.spans()[1].name, "parse");
-  EXPECT_EQ(log.spans()[1].depth, 1);
-  EXPECT_DOUBLE_EQ(log.spans()[1].duration_millis, 1.5);
-  EXPECT_EQ(log.spans()[2].depth, 1);
-}
-
 TEST(TraceTest, SpanFeedsLatencyHistogram) {
   MetricsRegistry registry;
   Histogram* latency = registry.GetHistogram("test.latency", "ns");
   { TraceSpan span(latency); }
-  { TraceSpan span(nullptr, "named", latency); }
+  { TraceSpan span("named", latency); }
   EXPECT_EQ(latency->count(), 2u);
   EXPECT_GT(latency->sum(), 0u);
-}
-
-TEST(TraceTest, TextAndJsonRenderSpans) {
-  TraceLog log;
-  {
-    TraceSpan outer(&log, "import");
-    outer.AddItems(1000);
-  }
-  std::string text = log.ToText();
-  EXPECT_NE(text.find("import"), std::string::npos);
-  EXPECT_NE(text.find("items"), std::string::npos);
-  std::string json = log.ToJson();
-  EXPECT_NE(json.find("\"name\": \"import\""), std::string::npos);
-  EXPECT_NE(json.find("\"items\": 1000"), std::string::npos);
-}
-
-TEST(TraceTest, ClearResetsLog) {
-  TraceLog log;
-  { TraceSpan span(&log, "one"); }
-  log.Clear();
-  EXPECT_TRUE(log.spans().empty());
-  { TraceSpan span(&log, "two"); }
-  ASSERT_EQ(log.spans().size(), 1u);
-  EXPECT_EQ(log.spans()[0].depth, 0);
 }
 
 }  // namespace
