@@ -1,7 +1,6 @@
 #include "bitmapstore/bitmap.h"
 
 #include <algorithm>
-#include <cstring>
 
 #include "util/logging.h"
 
@@ -471,101 +470,6 @@ bool Bitmap::Intersects(const Bitmap& a, const Bitmap& b) {
 
 bool Bitmap::IsSubset(const Bitmap& a, const Bitmap& b) {
   return AndCardinality(a, b) == a.Cardinality();
-}
-
-// ------------------------------------------------------------ Serialization
-
-namespace {
-
-template <typename T>
-void AppendPod(std::vector<uint8_t>* out, T value) {
-  const uint8_t* p = reinterpret_cast<const uint8_t*>(&value);
-  out->insert(out->end(), p, p + sizeof(T));
-}
-
-template <typename T>
-bool ReadPod(const std::vector<uint8_t>& data, size_t* offset, T* value) {
-  if (*offset + sizeof(T) > data.size()) return false;
-  std::memcpy(value, data.data() + *offset, sizeof(T));
-  *offset += sizeof(T);
-  return true;
-}
-
-}  // namespace
-
-void Bitmap::SerializeTo(std::vector<uint8_t>* out) const {
-  AppendPod<uint32_t>(out, static_cast<uint32_t>(containers_.size()));
-  for (const Container& c : containers_) {
-    AppendPod<uint16_t>(out, c.key);
-    AppendPod<uint8_t>(out, c.is_bitset ? 1 : 0);
-    AppendPod<uint32_t>(out, c.cardinality);
-    if (c.is_bitset) {
-      const uint8_t* p = reinterpret_cast<const uint8_t*>(c.words.data());
-      out->insert(out->end(), p, p + kBitsetWords * sizeof(uint64_t));
-    } else {
-      const uint8_t* p = reinterpret_cast<const uint8_t*>(c.array.data());
-      out->insert(out->end(), p, p + c.array.size() * sizeof(uint16_t));
-    }
-  }
-}
-
-Result<Bitmap> Bitmap::Deserialize(const std::vector<uint8_t>& data,
-                                   size_t* offset) {
-  Bitmap bm;
-  uint32_t num_containers = 0;
-  if (!ReadPod(data, offset, &num_containers)) {
-    return Status::Corruption("bitmap: truncated header");
-  }
-  // Each container needs at least its 7-byte header plus one element.
-  if (static_cast<uint64_t>(num_containers) * 9 > data.size() - *offset + 9) {
-    return Status::Corruption("bitmap: container count exceeds data size");
-  }
-  bm.containers_.reserve(num_containers);
-  uint32_t prev_key = 0;
-  for (uint32_t i = 0; i < num_containers; ++i) {
-    Container c;
-    uint8_t is_bitset = 0;
-    if (!ReadPod(data, offset, &c.key) || !ReadPod(data, offset, &is_bitset) ||
-        !ReadPod(data, offset, &c.cardinality)) {
-      return Status::Corruption("bitmap: truncated container header");
-    }
-    if (i > 0 && c.key <= prev_key) {
-      return Status::Corruption("bitmap: container keys out of order");
-    }
-    prev_key = c.key;
-    c.is_bitset = is_bitset != 0;
-    if (c.is_bitset) {
-      size_t bytes = kBitsetWords * sizeof(uint64_t);
-      if (*offset + bytes > data.size()) {
-        return Status::Corruption("bitmap: truncated bitset");
-      }
-      c.words.resize(kBitsetWords);
-      std::memcpy(c.words.data(), data.data() + *offset, bytes);
-      *offset += bytes;
-      if (PopcountWords(c.words) != c.cardinality) {
-        return Status::Corruption("bitmap: bitset cardinality mismatch");
-      }
-    } else {
-      if (c.cardinality > kArrayLimit + 1) {
-        return Status::Corruption("bitmap: array container too large");
-      }
-      size_t bytes = c.cardinality * sizeof(uint16_t);
-      if (*offset + bytes > data.size()) {
-        return Status::Corruption("bitmap: truncated array");
-      }
-      c.array.resize(c.cardinality);
-      std::memcpy(c.array.data(), data.data() + *offset, bytes);
-      *offset += bytes;
-      if (!std::is_sorted(c.array.begin(), c.array.end())) {
-        return Status::Corruption("bitmap: array not sorted");
-      }
-    }
-    if (c.cardinality == 0) {
-      return Status::Corruption("bitmap: empty container");
-    }
-    bm.containers_.push_back(std::move(c));
-  }
-  return bm;
 }
 
 size_t Bitmap::MemoryBytes() const {

@@ -6,8 +6,6 @@
 #include <type_traits>
 #include <vector>
 
-#include "util/result.h"
-
 namespace mbq::bitmapstore {
 
 /// A compressed bitmap over uint32 keys, in the style of the structure
@@ -84,13 +82,6 @@ class Bitmap {
 
   /// Materializes into a sorted vector.
   std::vector<uint32_t> ToVector() const;
-
-  /// Appends a portable binary image to `out`.
-  void SerializeTo(std::vector<uint8_t>* out) const;
-  /// Parses an image produced by SerializeTo starting at `data[*offset]`;
-  /// advances *offset past it.
-  static Result<Bitmap> Deserialize(const std::vector<uint8_t>& data,
-                                    size_t* offset);
 
   /// Approximate heap footprint, for the engine's cache accounting.
   size_t MemoryBytes() const;

@@ -692,11 +692,6 @@ uint64_t Graph::SimulatedIoNanos() const { return io_clock_->NowNanos(); }
 
 namespace mbq::bitmapstore {
 
-TypeId Graph::AttributeOwner(AttrId attr) const {
-  MBQ_CHECK(attr >= 0 && static_cast<size_t>(attr) < attributes_.size());
-  return attributes_[attr].type;
-}
-
 void Graph::ForEachAttributeValue(
     AttrId attr, const std::function<void(Oid, const Value&)>& fn) const {
   MBQ_CHECK(attr >= 0 && static_cast<size_t>(attr) < attributes_.size());

@@ -138,17 +138,15 @@ class Graph {
   uint32_t NumAttributes() const {
     return static_cast<uint32_t>(attributes_.size());
   }
-  /// The type an attribute is declared on.
-  TypeId AttributeOwner(AttrId attr) const;
   /// Iterates every stored (oid, value) pair of an attribute, in no
-  /// particular order. Raw accessor for snapshotting (no I/O charge).
+  /// particular order. Raw accessor for the checker (no I/O charge).
   void ForEachAttributeValue(
       AttrId attr, const std::function<void(Oid, const Value&)>& fn) const;
   /// The type of object `oid`, or kInvalidType for freed slots; spans
-  /// [0, ObjectSpan()). Raw accessor for snapshotting (no I/O charge).
+  /// [0, ObjectSpan()). Raw accessor for the checker (no I/O charge).
   TypeId RawObjectType(Oid oid) const;
   uint64_t ObjectSpan() const { return type_of_.size(); }
-  /// Raw edge endpoints without I/O accounting (snapshotting).
+  /// Raw edge endpoints without I/O accounting (the checker).
   void RawEdgeEndpoints(Oid edge, Oid* tail, Oid* head) const;
 
   // ------------------------------------------------------------ Objects

@@ -87,48 +87,6 @@ TEST(BitmapTest, EqualityAcrossRepresentations) {
   EXPECT_FALSE(a == b);
 }
 
-// ------------------------------------------------------------ Serialization
-
-TEST(BitmapTest, SerializeRoundTrip) {
-  Bitmap bm;
-  for (uint32_t i = 0; i < 6000; ++i) bm.Add(i * 3);  // mixed containers
-  bm.Add(1u << 30);
-  std::vector<uint8_t> buf;
-  bm.SerializeTo(&buf);
-  size_t offset = 0;
-  auto parsed = Bitmap::Deserialize(buf, &offset);
-  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  EXPECT_EQ(offset, buf.size());
-  EXPECT_TRUE(*parsed == bm);
-}
-
-TEST(BitmapTest, SerializeEmpty) {
-  Bitmap bm;
-  std::vector<uint8_t> buf;
-  bm.SerializeTo(&buf);
-  size_t offset = 0;
-  auto parsed = Bitmap::Deserialize(buf, &offset);
-  ASSERT_TRUE(parsed.ok());
-  EXPECT_TRUE(parsed->Empty());
-}
-
-TEST(BitmapTest, DeserializeRejectsTruncation) {
-  Bitmap bm = Bitmap::FromValues({1, 2, 3});
-  std::vector<uint8_t> buf;
-  bm.SerializeTo(&buf);
-  for (size_t cut = 1; cut < buf.size(); cut += 3) {
-    std::vector<uint8_t> trunc(buf.begin(), buf.end() - cut);
-    size_t offset = 0;
-    EXPECT_FALSE(Bitmap::Deserialize(trunc, &offset).ok()) << cut;
-  }
-}
-
-TEST(BitmapTest, DeserializeRejectsGarbage) {
-  std::vector<uint8_t> garbage(64, 0xFF);
-  size_t offset = 0;
-  EXPECT_FALSE(Bitmap::Deserialize(garbage, &offset).ok());
-}
-
 // ---------------------------------------------- Property tests vs std::set
 
 struct AlgebraCase {
@@ -220,14 +178,6 @@ TEST_P(BitmapAlgebraTest, MatchesReferenceSets) {
   Bitmap a4 = a;
   a4.InplaceAndNot(b);
   EXPECT_TRUE(a4 == Bitmap::AndNot(a, b));
-
-  // Serialization round-trips the combined results too.
-  std::vector<uint8_t> buf;
-  Bitmap::Or(a, b).SerializeTo(&buf);
-  size_t offset = 0;
-  auto parsed = Bitmap::Deserialize(buf, &offset);
-  ASSERT_TRUE(parsed.ok());
-  EXPECT_TRUE(*parsed == Bitmap::Or(a, b));
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -6,7 +6,6 @@
 
 #include "bitmapstore/graph.h"
 #include "bitmapstore/script_loader.h"
-#include "bitmapstore/snapshot.h"
 #include "bitmapstore/shortest_path.h"
 #include "bitmapstore/traversal.h"
 
@@ -403,121 +402,6 @@ TEST_F(ScriptLoaderTest, RejectsUnresolvedEndpoints) {
       "LOAD NODES \"users.csv\" INTO user COLUMNS uid\n"
       "LOAD EDGES \"bad_edges.csv\" INTO follows FROM user.uid TO user.uid\n";
   EXPECT_TRUE(loader.Execute(script, dir_.string()).IsNotFound());
-}
-
-}  // namespace
-}  // namespace mbq::bitmapstore
-
-namespace mbq::bitmapstore {
-namespace {
-
-// --------------------------------------------------------------- Snapshots
-
-class SnapshotTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    path_ = (std::filesystem::temp_directory_path() /
-             ("mbq_snap_" + std::to_string(::getpid()) + ".bin"))
-                .string();
-  }
-  void TearDown() override { std::filesystem::remove(path_); }
-  std::string path_;
-};
-
-TEST_F(SnapshotTest, RoundTripsGraph) {
-  GraphOptions options;
-  options.disk_profile = storage::DiskProfile::Instant();
-  Graph original(options);
-  TypeId user = *original.NewNodeType("user");
-  TypeId follows = *original.NewEdgeType("follows");
-  AttrId uid = *original.NewAttribute(user, "uid", common::ValueType::kInt,
-                                      AttributeKind::kUnique);
-  AttrId name = *original.NewAttribute(user, "name",
-                                       common::ValueType::kString,
-                                       AttributeKind::kBasic);
-  std::vector<Oid> nodes;
-  for (int i = 0; i < 20; ++i) {
-    Oid n = *original.NewNode(user);
-    ASSERT_TRUE(original.SetAttribute(n, uid, Value::Int(i)).ok());
-    ASSERT_TRUE(original
-                    .SetAttribute(n, name,
-                                  Value::String("u" + std::to_string(i)))
-                    .ok());
-    nodes.push_back(n);
-  }
-  for (int i = 0; i < 19; ++i) {
-    ASSERT_TRUE(original.NewEdge(follows, nodes[i], nodes[i + 1]).ok());
-  }
-  // Exercise the freed-slot path too.
-  ASSERT_TRUE(original.Drop(nodes[7]).ok());
-
-  ASSERT_TRUE(SaveSnapshot(original, path_).ok());
-
-  Graph restored(options);
-  ASSERT_TRUE(LoadSnapshot(path_, &restored).ok());
-  EXPECT_EQ(restored.NumNodes(), original.NumNodes());
-  EXPECT_EQ(restored.NumEdges(), original.NumEdges());
-  TypeId r_user = *restored.FindType("user");
-  TypeId r_follows = *restored.FindType("follows");
-  AttrId r_uid = *restored.FindAttribute(r_user, "uid");
-  AttrId r_name = *restored.FindAttribute(r_user, "name");
-  EXPECT_EQ(restored.GetAttributeKind(r_uid), AttributeKind::kUnique);
-
-  // Every surviving node keeps its oid, attributes and adjacency.
-  for (int i = 0; i < 20; ++i) {
-    if (i == 7) {
-      EXPECT_FALSE(restored.GetObjectType(nodes[7]).ok());
-      continue;
-    }
-    auto found = restored.FindObject(r_uid, Value::Int(i));
-    ASSERT_TRUE(found.ok());
-    EXPECT_EQ(*found, nodes[i]) << i;
-    EXPECT_EQ(restored.GetAttribute(nodes[i], r_name)->AsString(),
-              "u" + std::to_string(i));
-    auto expected =
-        original.Neighbors(nodes[i], follows, EdgesDirection::kOutgoing);
-    auto actual =
-        restored.Neighbors(nodes[i], r_follows, EdgesDirection::kOutgoing);
-    ASSERT_TRUE(expected.ok() && actual.ok());
-    EXPECT_TRUE(*expected == *actual) << i;
-  }
-}
-
-TEST_F(SnapshotTest, RejectsNonEmptyTarget) {
-  GraphOptions options;
-  options.disk_profile = storage::DiskProfile::Instant();
-  Graph g(options);
-  ASSERT_TRUE(g.NewNodeType("user").ok());
-  ASSERT_TRUE(SaveSnapshot(g, path_).ok());
-  EXPECT_TRUE(LoadSnapshot(path_, &g).IsFailedPrecondition());
-}
-
-TEST_F(SnapshotTest, RejectsCorruptFiles) {
-  GraphOptions options;
-  options.disk_profile = storage::DiskProfile::Instant();
-  {
-    std::ofstream out(path_, std::ios::binary);
-    out << "definitely not a snapshot";
-  }
-  Graph g(options);
-  EXPECT_TRUE(LoadSnapshot(path_, &g).IsCorruption());
-
-  Graph src(options);
-  ASSERT_TRUE(src.NewNodeType("user").ok());
-  ASSERT_TRUE(src.NewNode(0).ok());
-  ASSERT_TRUE(SaveSnapshot(src, path_).ok());
-  // Truncate the tail and expect a clean error.
-  auto size = std::filesystem::file_size(path_);
-  std::filesystem::resize_file(path_, size - 3);
-  Graph g2(options);
-  EXPECT_FALSE(LoadSnapshot(path_, &g2).ok());
-}
-
-TEST_F(SnapshotTest, MissingFileIsIoError) {
-  GraphOptions options;
-  options.disk_profile = storage::DiskProfile::Instant();
-  Graph g(options);
-  EXPECT_TRUE(LoadSnapshot("/nonexistent/snap.bin", &g).IsIoError());
 }
 
 }  // namespace
