@@ -60,12 +60,11 @@ class NodestoreEngine : public MicroblogEngine {
 
   /// Turns the live write path on: resolves the schema handles, builds
   /// the EngineWriter (replaying the WAL when `wal.dir` points at an
-  /// existing log), and routes the Cypher session's reads/writes through
-  /// the snapshot registry. `base` is the bulk-loaded dataset the writer
-  /// extends (borrowed; only id-space sizes are read, at open). The
-  /// writer's WAL is the one log of committed batches, so a GraphDb with
-  /// its modelled redo log on (GraphDbOptions::wal_enabled) is refused
-  /// with InvalidArgument. Defined in nodestore_writes.cc.
+  /// existing log), and attaches it to the Cypher session, whose reads
+  /// then run under its snapshots and whose write queries commit through
+  /// it (CypherSession::SetWriter). `base` is the bulk-loaded dataset the
+  /// writer extends (borrowed; only id-space sizes are read, at open).
+  /// Defined in nodestore_writes.cc.
   Status EnableWrites(const store::WalOptions& wal,
                       const twitter::Dataset& base);
 

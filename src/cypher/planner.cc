@@ -378,8 +378,8 @@ class PlanBuilder {
   }
 
   /// Roots the plan with the WriteClause operator: the reading side (or a
-  /// SingleRow for bare CREATE) feeds it rows, it applies the mutating
-  /// clauses and emits one summary row.
+  /// SingleRow for bare CREATE) feeds it rows, it lowers the mutating
+  /// clauses to WriteBatch ops and emits one summary row.
   Status PlanWrite() {
     plan_->is_write = true;
     if (current_ == nullptr) {

@@ -32,9 +32,9 @@ struct PlannedQuery {
   std::vector<uint32_t> epoch_domains;
   bool epoch_use_global = false;
   /// True for CREATE/SET/DELETE queries: the root is a WriteClause
-  /// operator emitting one summary row. The session runs these inside
-  /// the engine's exclusive commit section and a store transaction, and
-  /// never serves or stores them through the result cache.
+  /// operator that lowers them to a WriteBatch and emits one summary row.
+  /// The session commits the batch through the engine's writer, and
+  /// never serves or stores these through the result cache.
   bool is_write = false;
   /// Semantic diagnostics from the analyzer pass (cypher/semantic.h),
   /// attached by the session at compile time; EXPLAIN/PROFILE prepend

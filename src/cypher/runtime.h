@@ -19,6 +19,10 @@ namespace mbq::cache {
 class AdjacencyCache;
 }  // namespace mbq::cache
 
+namespace mbq::store {
+class WriteBatch;
+}  // namespace mbq::store
+
 namespace mbq::cypher {
 
 using common::Value;
@@ -115,6 +119,10 @@ struct ExecContext {
   /// all worker pipelines of a query (internally sharded and locked), and
   /// propagated to workers by the context copy in parallel.cc.
   cache::AdjacencyCache* adj_cache = nullptr;
+  /// Where a write query's root operator (write_ops.h) appends the ops it
+  /// lowers; the session commits them once the tree has run. Null for
+  /// reads.
+  store::WriteBatch* writes = nullptr;
 };
 
 /// Variable -> slot assignment produced by the planner.

@@ -65,7 +65,7 @@ struct SessionMetrics {
                        "executions at/over the slow-query threshold, "
                        "captured by the flight recorder");
       m.writes = r.GetCounter("cypher.writes", "queries",
-                              "write queries (CREATE/SET/DELETE) executed");
+                              "write queries whose WriteBatch committed");
       return m;
     }();
     return m;
@@ -333,25 +333,18 @@ Result<QueryResult> CypherSession::Run(const std::string& query,
                                 plan->epoch_use_global);
   }
 
-  // With the live write path attached, reads and writes synchronize
-  // through the engine's snapshot registry: reads hold it shared for the
-  // whole execution (never observing a half-applied batch), writes hold
-  // it exclusively — the same commit section WriteBatch commits use — and
-  // additionally run inside a store transaction so a failing clause rolls
-  // the whole query back.
-  store::SnapshotRegistry* snapshots =
-      snapshots_.load(std::memory_order_acquire);
-  std::optional<store::SnapshotRegistry::ReadSnapshot> read_guard;
-  std::optional<store::SnapshotRegistry::CommitGuard> write_guard;
-  std::optional<GraphDb::Transaction> tx;
-  if (snapshots != nullptr) {
-    if (plan->is_write) {
-      write_guard.emplace(snapshots->BeginCommit());
-    } else {
-      read_guard.emplace(snapshots->OpenSnapshot());
-    }
+  // A write query lowers to one WriteBatch for the engine's commit path;
+  // a session with no writer cannot commit it.
+  if (plan->is_write && !commit_) {
+    return Status::NotImplemented(
+        "write query on a read-only engine: Cypher writes commit through "
+        "the engine's writer (open it with enable_writes)");
   }
-  if (plan->is_write) tx.emplace(db_);
+  // With the live write path attached, every execution runs under a
+  // shared snapshot, so it never observes a half-applied batch.
+  std::optional<store::SnapshotRegistry::ReadSnapshot> read_guard;
+  if (snapshots_ != nullptr) read_guard.emplace(snapshots_->OpenSnapshot());
+  store::WriteBatch writes;
 
   // The session is an ingress: execute under a trace context (a child of
   // any adopted RPC context, a fresh root otherwise) so the query's span
@@ -360,8 +353,7 @@ Result<QueryResult> CypherSession::Run(const std::string& query,
   obs::TraceSpan latency(metrics.query_latency);
   uint32_t threads = threads_.load(std::memory_order_relaxed);
   if (threads == 0) threads = 1;
-  // Write plans are inherently sequential (they mutate the store row by
-  // row inside the exclusive section).
+  // Write plans are sequential: they lower row by row into one batch.
   if (plan->is_write) threads = 1;
   // Register with the live-query table (/queries, :queries) for the
   // duration of the execution.
@@ -379,6 +371,7 @@ Result<QueryResult> CypherSession::Run(const std::string& query,
   std::atomic<uint64_t> side_hits{0};
   ctx.side_hits = &side_hits;
   ctx.adj_cache = adj_cache_.get();
+  if (plan->is_write) ctx.writes = &writes;
 
   // The cached plan tree is shared across threads and never executed
   // directly — each run drives a private clone.
@@ -399,10 +392,11 @@ Result<QueryResult> CypherSession::Run(const std::string& query,
   result.profile = DescribePlanTree(*root);
   active.SetDbHits(result.db_hits);
 
-  // A write query's effects become durable store state here; an error
-  // anywhere above destroyed `tx` active, rolling every clause back.
-  if (tx.has_value()) {
-    MBQ_RETURN_IF_ERROR(tx->Commit());
+  // The commit takes the exclusive section, so the snapshot goes first.
+  // An error above returned before anything committed.
+  if (plan->is_write) {
+    read_guard.reset();
+    MBQ_RETURN_IF_ERROR(commit_(std::move(writes)));
     metrics.writes->Inc();
   }
 

@@ -2,6 +2,7 @@
 #define MBQ_CYPHER_SESSION_H_
 
 #include <atomic>
+#include <functional>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -13,6 +14,7 @@
 #include "cypher/planner.h"
 #include "cypher/runtime.h"
 #include "store/delta/snapshot.h"
+#include "store/delta/write_batch.h"
 #include "util/lock_rank.h"
 #include "util/thread_annotations.h"
 
@@ -195,17 +197,18 @@ class CypherSession {
   /// embedders that expand outside the session.
   cache::AdjacencyCache* adjacency_cache() { return adj_cache_.get(); }
 
-  /// Attaches the engine's snapshot registry (borrowed, may be null to
-  /// detach). With a registry set, read queries execute under a shared
-  /// snapshot — they never observe a half-applied write — and write
-  /// queries (CREATE/SET/DELETE) take the exclusive commit section and
-  /// run inside a store transaction. Attach before issuing concurrent
-  /// queries; the engine's EnableWrites does this at open time.
-  void SetSnapshotRegistry(store::SnapshotRegistry* registry) {
-    snapshots_.store(registry, std::memory_order_release);
-  }
-  store::SnapshotRegistry* snapshot_registry() const {
-    return snapshots_.load(std::memory_order_acquire);
+  /// Attaches the engine's live write path (docs/WRITES.md); the
+  /// engine's EnableWrites does this at open time, before any query.
+  /// Read queries then execute under a shared snapshot of `snapshots`
+  /// (borrowed), so they never observe a half-applied batch. A write
+  /// query (CREATE/DELETE) lowers to one WriteBatch (write_ops.h),
+  /// releases its snapshot and hands the batch to `commit`, the engine's
+  /// WritableEngine::Commit. Without a writer, write queries fail
+  /// NotImplemented.
+  using CommitFn = std::function<Status(store::WriteBatch)>;
+  void SetWriter(store::SnapshotRegistry* snapshots, CommitFn commit) {
+    snapshots_ = snapshots;
+    commit_ = std::move(commit);
   }
 
  private:
@@ -253,7 +256,9 @@ class CypherSession {
 
   std::unique_ptr<cache::ResultCache<CachedResult>> result_cache_;
   std::unique_ptr<cache::AdjacencyCache> adj_cache_;
-  std::atomic<store::SnapshotRegistry*> snapshots_{nullptr};
+  /// The live write path; both stay unset on a read-only engine.
+  store::SnapshotRegistry* snapshots_ = nullptr;
+  CommitFn commit_;
 };
 
 }  // namespace mbq::cypher
