@@ -184,12 +184,7 @@ Result<std::unordered_map<Oid, int64_t>> BitmapEngine::CountNeighborsPerSource(
 }
 
 Result<Oid> BitmapEngine::UserByUid(int64_t uid) const {
-  MBQ_ASSIGN_OR_RETURN(Oid user,
-                       graph_->FindObject(h_.uid, Value::Int(uid)));
-  if (user == bitmapstore::kInvalidOid) {
-    return Status::NotFound("no user with uid " + std::to_string(uid));
-  }
-  return user;
+  return graph_->FindObject(h_.uid, Value::Int(uid));
 }
 
 Result<ValueRows> BitmapEngine::SelectUsersByFollowerCount(int64_t threshold) {
@@ -222,6 +217,7 @@ Result<ValueRows> BitmapEngine::FolloweesOf(int64_t uid) {
                        slow_query_millis_);
   auto snapshot = OpenReadSnapshot();
   MBQ_ASSIGN_OR_RETURN(Oid user, UserByUid(uid));
+  if (user == bitmapstore::kInvalidOid) return ValueRows{};
   MBQ_ASSIGN_OR_RETURN(
       Objects followees,
       NeighborsCached(user, h_.follows, EdgesDirection::kOutgoing));
@@ -246,6 +242,7 @@ Result<ValueRows> BitmapEngine::TweetsOfFollowees(int64_t uid) {
                        threads_, slow_query_millis_);
   auto snapshot = OpenReadSnapshot();
   MBQ_ASSIGN_OR_RETURN(Oid user, UserByUid(uid));
+  if (user == bitmapstore::kInvalidOid) return ValueRows{};
   MBQ_ASSIGN_OR_RETURN(
       Objects followees,
       NeighborsCached(user, h_.follows, EdgesDirection::kOutgoing));
@@ -275,6 +272,7 @@ Result<ValueRows> BitmapEngine::HashtagsUsedByFollowees(int64_t uid) {
                        threads_, slow_query_millis_);
   auto snapshot = OpenReadSnapshot();
   MBQ_ASSIGN_OR_RETURN(Oid user, UserByUid(uid));
+  if (user == bitmapstore::kInvalidOid) return ValueRows{};
   MBQ_ASSIGN_OR_RETURN(
       Objects followees,
       NeighborsCached(user, h_.follows, EdgesDirection::kOutgoing));
@@ -305,6 +303,7 @@ Result<ValueRows> BitmapEngine::TopCoMentionedUsers(int64_t uid, int64_t n) {
                        threads_, slow_query_millis_);
   auto snapshot = OpenReadSnapshot();
   MBQ_ASSIGN_OR_RETURN(Oid user, UserByUid(uid));
+  if (user == bitmapstore::kInvalidOid) return ValueRows{};
   // Step 1: tweets mentioning A. Step 2: other users those tweets
   // mention, counted in a map (the paper's two-step co-occurrence plan).
   MBQ_ASSIGN_OR_RETURN(
@@ -334,9 +333,7 @@ Result<ValueRows> BitmapEngine::TopCoOccurringHashtags(const std::string& tag,
   auto snapshot = OpenReadSnapshot();
   MBQ_ASSIGN_OR_RETURN(Oid hashtag,
                        graph_->FindObject(h_.tag, Value::String(tag)));
-  if (hashtag == bitmapstore::kInvalidOid) {
-    return Status::NotFound("no hashtag " + tag);
-  }
+  if (hashtag == bitmapstore::kInvalidOid) return ValueRows{};
   MBQ_ASSIGN_OR_RETURN(
       Objects tweets,
       NeighborsCached(hashtag, h_.tags, EdgesDirection::kIngoing));
@@ -358,6 +355,7 @@ Result<ValueRows> BitmapEngine::TopCoOccurringHashtags(const std::string& tag,
 Result<ValueRows> BitmapEngine::Recommend(int64_t uid, int64_t n,
                                           EdgesDirection second_hop) {
   MBQ_ASSIGN_OR_RETURN(Oid user, UserByUid(uid));
+  if (user == bitmapstore::kInvalidOid) return ValueRows{};
   MBQ_ASSIGN_OR_RETURN(
       Objects followees,
       NeighborsCached(user, h_.follows, EdgesDirection::kOutgoing));
@@ -406,6 +404,7 @@ Result<ValueRows> BitmapEngine::RecommendFollowersOfFollowees(int64_t uid,
 Result<ValueRows> BitmapEngine::Influence(int64_t uid, int64_t n,
                                           bool keep_followers) {
   MBQ_ASSIGN_OR_RETURN(Oid user, UserByUid(uid));
+  if (user == bitmapstore::kInvalidOid) return ValueRows{};
   // Users who mentioned A: tweets mentioning A, then their posters,
   // counted per poster.
   MBQ_ASSIGN_OR_RETURN(
@@ -456,6 +455,9 @@ Result<int64_t> BitmapEngine::ShortestPathLength(int64_t uid_a, int64_t uid_b,
   tracker.SetRows(1);
   MBQ_ASSIGN_OR_RETURN(Oid a, UserByUid(uid_a));
   MBQ_ASSIGN_OR_RETURN(Oid b, UserByUid(uid_b));
+  if (a == bitmapstore::kInvalidOid || b == bitmapstore::kInvalidOid) {
+    return -1;
+  }
   bitmapstore::SinglePairShortestPathBFS bfs(graph_, a, b);
   bfs.AddEdgeType(h_.follows, EdgesDirection::kOutgoing);
   bfs.SetMaximumHops(max_hops);

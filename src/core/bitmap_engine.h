@@ -97,6 +97,9 @@ class BitmapEngine : public MicroblogEngine {
                               : store::SnapshotRegistry::ReadSnapshot();
   }
 
+  /// The user with `uid`, or kInvalidOid when there is none: an anchored
+  /// read of a missing user or hashtag answers no rows (Q6.1: -1), as the
+  /// record store's Cypher does.
   Result<bitmapstore::Oid> UserByUid(int64_t uid) const;
   /// Neighbors() through the adjacency cache when enabled; identical
   /// result set either way (entries replay the store's own output).

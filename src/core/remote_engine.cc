@@ -260,25 +260,13 @@ Result<std::vector<ValueRows>> RemoteEngine::FanOutRows(
   std::vector<ValueRows> per_shard;
   per_shard.reserve(shards_.size());
   rpc::Frame request = rpc::EncodeCall(req);
-  size_t failures = 0;
-  Status first_error;
   for (uint32_t shard = 0; shard < shards_.size(); ++shard) {
-    Result<rpc::Frame> reply = CallShard(shard, request);
-    Result<ValueRows> rows =
-        reply.ok() ? rpc::DecodeRowsReply(*reply) : reply.status();
-    if (!rows.ok()) {
-      // Transport and corruption failures abort the fan-out. NotFound is
-      // an application answer ("no such hashtag"); the replicated
-      // catalog means the shards agree on it, so it only propagates when
-      // they all say it.
-      if (!rows.status().IsNotFound()) return rows.status();
-      if (failures++ == 0) first_error = rows.status();
-      per_shard.emplace_back();
-      continue;
-    }
-    per_shard.push_back(*std::move(rows));
+    rpc::Frame reply;
+    MBQ_ASSIGN_OR_RETURN(reply, CallShard(shard, request));
+    ValueRows rows;
+    MBQ_ASSIGN_OR_RETURN(rows, rpc::DecodeRowsReply(reply));
+    per_shard.push_back(std::move(rows));
   }
-  if (failures == shards_.size()) return first_error;
   return per_shard;
 }
 

@@ -89,9 +89,8 @@ class RemoteEngine : public MicroblogEngine {
 
   /// One kCall to one shard, rows reply expected.
   Result<ValueRows> CallRows(uint32_t shard, const rpc::CallRequest& req);
-  /// Fan out a kCall to every shard; per-shard NotFound is tolerated
-  /// (and returned) only when every shard reports it — with a replicated
-  /// catalog the shards always agree on existence.
+  /// Fan out a kCall to every shard; any shard's error fails the call
+  /// (a missing anchor is no rows on every engine, not an error).
   Result<std::vector<ValueRows>> FanOutRows(const rpc::CallRequest& req);
   /// Fan out, then sum (key, count) rows by key and re-rank with
   /// TopNCounts — the exact-merge path for Q3.x/Q5.x.

@@ -240,13 +240,13 @@ INSTANTIATE_TEST_SUITE_P(Seeds, RandomDifferentialTest,
                          ::testing::Values(1ull, 2ull, 3ull, 4ull, 5ull, 6ull,
                                            7ull, 8ull));
 
-/// Forwards every call to `inner`, except that Q4.1 drops its last row:
-/// a planted engine bug that only one kind shows.
-class DropLastRecFollowee final : public MicroblogEngine {
+/// Forwards every call to `inner`; the decorators below override one call
+/// each to plant a bug that only that call kind shows.
+class ForwardingEngine : public MicroblogEngine {
  public:
-  explicit DropLastRecFollowee(MicroblogEngine& inner) : inner_(inner) {}
+  explicit ForwardingEngine(MicroblogEngine& inner) : inner_(inner) {}
 
-  std::string name() const override { return "drop-last-q4.1"; }
+  std::string name() const override { return "forward"; }
   Result<ValueRows> SelectUsersByFollowerCount(int64_t threshold) override {
     return inner_.SelectUsersByFollowerCount(threshold);
   }
@@ -268,13 +268,7 @@ class DropLastRecFollowee final : public MicroblogEngine {
   }
   Result<ValueRows> RecommendFolloweesOfFollowees(int64_t uid,
                                                   int64_t n) override {
-    Result<ValueRows> rows = inner_.RecommendFolloweesOfFollowees(uid, n);
-    if (rows.ok() && !rows->empty()) {
-      if (!first_dropped.has_value()) first_dropped = rows->back();
-      rows->pop_back();
-      ++drops;
-    }
-    return rows;
+    return inner_.RecommendFolloweesOfFollowees(uid, n);
   }
   Result<ValueRows> RecommendFollowersOfFollowees(int64_t uid,
                                                   int64_t n) override {
@@ -292,11 +286,44 @@ class DropLastRecFollowee final : public MicroblogEngine {
   }
   Status DropCaches() override { return inner_.DropCaches(); }
 
-  std::optional<ValueRow> first_dropped;
-  uint64_t drops = 0;
-
  private:
   MicroblogEngine& inner_;
+};
+
+/// Q4.1 drops its last row.
+class DropLastRecFollowee final : public ForwardingEngine {
+ public:
+  using ForwardingEngine::ForwardingEngine;
+
+  Result<ValueRows> RecommendFolloweesOfFollowees(int64_t uid,
+                                                  int64_t n) override {
+    Result<ValueRows> rows =
+        ForwardingEngine::RecommendFolloweesOfFollowees(uid, n);
+    if (rows.ok() && !rows->empty()) {
+      if (!first_dropped.has_value()) first_dropped = rows->back();
+      rows->pop_back();
+      ++drops;
+    }
+    return rows;
+  }
+
+  std::optional<ValueRow> first_dropped;
+  uint64_t drops = 0;
+};
+
+/// Q3.2 answers an unknown hashtag with NotFound instead of no rows.
+class RefuseUnknownHashtag final : public ForwardingEngine {
+ public:
+  using ForwardingEngine::ForwardingEngine;
+
+  Result<ValueRows> TopCoOccurringHashtags(const std::string& tag,
+                                           int64_t n) override {
+    Result<ValueRows> rows = ForwardingEngine::TopCoOccurringHashtags(tag, n);
+    if (rows.ok() && rows->empty()) {
+      return Status::NotFound("no hashtag " + tag);
+    }
+    return rows;
+  }
 };
 
 class VerifyTest : public EnginePairTest {
@@ -338,22 +365,27 @@ TEST_F(VerifyTest, MatchingErrorsAgreeInTheirOwnTally) {
   follow.kind = CallKind::kFollow;
   follow.b = 1;
 
-  // The bitmap engine refuses an unknown hashtag with NotFound, and a
+  // The decorated engine refuses an unknown hashtag with NotFound, and a
   // read-only engine refuses writes with NotImplemented.
-  VerifyReport alike = Verify(*bm_, *bm_, {unknown_tag, follow});
+  RefuseUnknownHashtag refusing(*bm_);
+  VerifyReport alike = Verify(refusing, refusing, {unknown_tag, follow});
   EXPECT_TRUE(alike.ok());
   EXPECT_EQ(2u, alike.Total().agreed);
   EXPECT_EQ(2u, alike.Total().errors);
   EXPECT_EQ(1u, alike.kinds[CallKind::kTopCoTags].errors);
 
-  // The record store answers an unknown hashtag with no rows: an error
-  // on one side only is a divergence, not an error tally.
-  VerifyReport one_sided = Verify(*ns_, *bm_, {unknown_tag});
+  // The engines themselves answer an unknown hashtag with no rows: an
+  // error on one side only is a divergence, not an error tally.
+  VerifyReport one_sided = Verify(*ns_, refusing, {unknown_tag});
   ASSERT_FALSE(one_sided.ok());
   EXPECT_TRUE(one_sided.first_divergence->reference_status.ok());
   EXPECT_TRUE(one_sided.first_divergence->target_status.IsNotFound());
   EXPECT_EQ(0u, one_sided.Total().errors);
   EXPECT_EQ(0u, one_sided.Total().agreed);
+}
+
+TEST_F(VerifyTest, MissingAnchorsAnswerNoRowsOnBothEngines) {
+  ExpectAgreement(Verify(*ns_, *bm_, MissingAnchorSpecs()), 10);
 }
 
 }  // namespace

@@ -244,21 +244,20 @@ TEST_P(ClusterAgreementTest, AggregatedResultsMatchSingleProcess) {
       Verify(*local_, *remote_, ReadSweep(universe, seed, kCallsPerSeed)), 11);
 }
 
-/// An unknown hashtag must answer the way a single-process engine of the
-/// same kind would: Cypher shards return empty rows, bitmap shards
-/// return NotFound — and the merge must not turn either into something
-/// else. (Mixed topologies behave like the Cypher side: NotFound is
-/// propagated only when every shard reports it.)
+/// An unknown hashtag answers no rows on every topology, as it does on
+/// the single-process engine, and the merge keeps it that way.
 TEST_P(ClusterAgreementTest, UnknownHashtagMatchesSingleProcessSemantics) {
+  auto want = local_->TopCoOccurringHashtags("no_such_tag_zzz", 10);
   auto got = remote_->TopCoOccurringHashtags("no_such_tag_zzz", 10);
-  if (GetParam().engine == EngineKind::kBitmap) {
-    EXPECT_TRUE(got.status().IsNotFound()) << got.status().ToString();
-  } else {
-    auto want = local_->TopCoOccurringHashtags("no_such_tag_zzz", 10);
-    ASSERT_TRUE(want.ok()) << want.status().ToString();
-    ASSERT_TRUE(got.ok()) << got.status().ToString();
-    EXPECT_EQ(*want, *got);
-  }
+  ASSERT_TRUE(want.ok()) << want.status().ToString();
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_TRUE(got->empty());
+  EXPECT_EQ(*want, *got);
+}
+
+/// Every anchored read kind on a missing uid or hashtag.
+TEST_P(ClusterAgreementTest, MissingAnchorsMatchSingleProcess) {
+  ExpectAgreement(Verify(*local_, *remote_, MissingAnchorSpecs()), 10);
 }
 
 TEST_P(ClusterAgreementTest, DropCachesReachesEveryShard) {

@@ -46,6 +46,31 @@ inline std::vector<CallSpec> ReadSweep(const ParamUniverse& universe,
   return specs;
 }
 
+/// One call of every anchored read kind (Q2.1 to Q6.1) on a uid and a
+/// hashtag no generated dataset holds. Both engines, and every cluster
+/// topology, answer these with no rows (Q6.1: -1), not an error.
+inline std::vector<CallSpec> MissingAnchorSpecs() {
+  constexpr int64_t kMissingUid = 99999;
+  std::vector<CallSpec> specs;
+  for (CallKind kind :
+       {CallKind::kFollowees, CallKind::kTweetsOfFollowees,
+        CallKind::kHashtagsOfFollowees, CallKind::kTopCoMentioned,
+        CallKind::kTopCoTags, CallKind::kRecFollowees,
+        CallKind::kRecFollowers, CallKind::kCurrentInfluence,
+        CallKind::kPotentialInfluence, CallKind::kShortestPath}) {
+    CallSpec& spec = specs.emplace_back();
+    spec.kind = kind;
+    spec.a = kMissingUid;
+    spec.b = 1;
+    spec.tag = "no_such_tag_zzz";
+  }
+  // Q6.1 from a present user to a missing one.
+  CallSpec& reverse = specs.emplace_back(specs.back());
+  reverse.a = 1;
+  reverse.b = kMissingUid;
+  return specs;
+}
+
 /// The sweep drew `kinds` call kinds, every call of each agreed, and no
 /// call failed, on either side.
 inline void ExpectAgreement(const VerifyReport& report, size_t kinds) {
