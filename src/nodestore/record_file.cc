@@ -20,7 +20,7 @@ RecordFile::RecordFile(std::string name, storage::BufferCache* cache,
   MBQ_CHECK(records_per_page_ > 0);
 }
 
-Result<PageRef> RecordFile::PageForRecord(RecordId id, bool for_init) {
+Result<PageRef> RecordFile::PageForRecord(RecordId id) {
   uint64_t page_index = id / records_per_page_;
   while (pages_.size() <= page_index) {
     // Extend the store file by one page; the page is not read back.
@@ -28,7 +28,6 @@ Result<PageRef> RecordFile::PageForRecord(RecordId id, bool for_init) {
     pages_.push_back(ref.page_id());
     ref.MarkDirty();
   }
-  if (for_init) return cache_->GetPageForInit(pages_[page_index]);
   return cache_->GetPage(pages_[page_index]);
 }
 
@@ -47,7 +46,7 @@ Status RecordFile::Read(RecordId id, uint8_t* out) {
                               " past high id " + std::to_string(high_id_));
   }
   if (db_hits_ != nullptr) db_hits_->Inc();
-  MBQ_ASSIGN_OR_RETURN(PageRef ref, PageForRecord(id, /*for_init=*/false));
+  MBQ_ASSIGN_OR_RETURN(PageRef ref, PageForRecord(id));
   uint64_t offset = (id % records_per_page_) * record_size_;
   std::memcpy(out, ref.data() + offset, record_size_);
   return Status::OK();
@@ -59,7 +58,7 @@ Status RecordFile::Write(RecordId id, const uint8_t* data) {
                               " past high id " + std::to_string(high_id_));
   }
   if (db_hits_ != nullptr) db_hits_->Inc();
-  MBQ_ASSIGN_OR_RETURN(PageRef ref, PageForRecord(id, /*for_init=*/false));
+  MBQ_ASSIGN_OR_RETURN(PageRef ref, PageForRecord(id));
   uint64_t offset = (id % records_per_page_) * record_size_;
   std::memcpy(ref.data() + offset, data, record_size_);
   ref.MarkDirty();

@@ -86,7 +86,7 @@ class RecordFile {
   uint64_t pages_used() const { return pages_.size(); }
 
  private:
-  Result<storage::PageRef> PageForRecord(RecordId id, bool for_init);
+  Result<storage::PageRef> PageForRecord(RecordId id);
 
   std::string name_;
   storage::BufferCache* cache_;
