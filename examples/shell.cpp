@@ -3,9 +3,10 @@
 //
 //   ./shell [num_users] [wal_dir]
 //
-// Reads one query per line from stdin and prints rows. CREATE/SET/
-// DELETE queries mutate the graph through the snapshot-guarded write
-// path (docs/WRITES.md); passing `wal_dir` makes every commit durable.
+// Reads one query per line from stdin and prints rows. CREATE and
+// DELETE queries lower to WriteBatch ops and commit through the engine's
+// writer, like the typed commands (docs/WRITES.md, "Cypher writes"); SET
+// is refused. Passing `wal_dir` makes every commit durable.
 // Queries may be prefixed with the PROFILE verb (run and print the
 // operator tree with per-operator rows and db hits), EXPLAIN (print the
 // plan shape without running), or LINT (semantic analysis only).
@@ -141,9 +142,9 @@ int main(int argc, char** argv) {
   }
 
   // The engine API rather than a bare CypherSession: writes enabled, so
-  // CREATE/SET/DELETE queries and the typed :post/:follow/:unfollow
-  // commands commit through the snapshot-guarded path. A replayed WAL
-  // (second run with the same wal_dir) restores earlier live writes.
+  // CREATE/DELETE queries and the typed :post/:follow/:unfollow commands
+  // commit through the same writer. A replayed WAL (second run with the
+  // same wal_dir) restores earlier live writes, Cypher ones included.
   mbq::core::EngineOptions engine_options;
   engine_options.db = &db;
   engine_options.enable_writes = true;
@@ -210,11 +211,14 @@ int main(int argc, char** argv) {
           ":cold             drop the page cache\n"
           ":quit             exit\n"
           "anything else is parsed as a mini-Cypher query — reads and\n"
-          "writes (CREATE / SET / DELETE), e.g.\n"
+          "writes, e.g.\n"
           "  MATCH (u:user) WHERE u.followers_count > 50 "
           "RETURN u.uid LIMIT 5\n"
           "  MATCH (a:user {uid: 7}), (b:user {uid: 9}) "
-          "CREATE (a)-[:follows]->(b)\n");
+          "CREATE (a)-[:follows]->(b)\n"
+          "writes lower to WriteBatch ops: CREATE of :follows, :posts,\n"
+          ":mentions, :tags, :retweets and (:user {uid}), DELETE of a\n"
+          "matched :follows; SET and node DELETE are refused\n");
       continue;
     }
     if (trimmed == ":metrics" || mbq::StartsWith(trimmed, ":metrics ")) {
