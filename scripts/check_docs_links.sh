@@ -3,7 +3,9 @@
 #   1. Every relative markdown link in the top-level *.md files and
 #      docs/*.md resolves to an existing file.
 #   2. Every metric name literal registered in src/ appears in
-#      docs/OBSERVABILITY.md (the catalogue must stay complete).
+#      docs/OBSERVABILITY.md (the catalogue must stay complete), and
+#      every metric the catalogue's tables name is registered in src/
+#      (no stale rows).
 #   3. Every RPC message type in src/rpc/messages.h appears in
 #      docs/CLUSTER.md (the wire-protocol spec must stay complete).
 #
@@ -51,16 +53,57 @@ else
   # Dynamic families ("rpc.shard." + i + ".latency") leave a literal
   # ending in a dot; the catalogue must spell the family out starting
   # with that prefix (e.g. `rpc.shard.<i>.latency`).
-  for name in $(grep -rhE '"(nodestore|bitmapstore|cypher|cache|check|obs|exec|rpc|trace|driver|write|wal|lockrank)\.[a-z0-9_.]+"' src/ |
-                grep -v 'LockRank::' |
-                grep -oE '"(nodestore|bitmapstore|cypher|cache|check|obs|exec|rpc|trace|driver|write|wal|lockrank)\.[a-z0-9_.]+"' |
-                tr -d '"' | sort -u); do
+  prefixes='(nodestore|bitmapstore|cypher|cache|check|obs|exec|rpc|trace|driver|write|wal|lockrank)'
+  registered=$(grep -rhE "\"$prefixes\.[a-z0-9_.]*\"" src/ |
+               grep -v 'LockRank::' |
+               grep -oE "\"$prefixes\.[a-z0-9_.]*\"" |
+               tr -d '"' | sort -u)
+  for name in $registered; do
     case "$name" in
       *.) pattern="\`$name" ;;
       *) pattern="\`$name\`" ;;
     esac
     if ! grep -q -F "$pattern" "$catalogue"; then
       echo "UNDOCUMENTED METRIC: $name (add it to $catalogue)"
+      failures=$((failures + 1))
+    fi
+  done
+
+  # The reverse: every row of a metric table (a table whose first header
+  # cell is "Name") whose first cell is one backticked name with a
+  # registered prefix must name a registered metric. A family row
+  # (`rpc.shard.<i>.latency`, `driver.<template>.qps`) needs the literal
+  # before its placeholder ("rpc.shard.", "driver."); any other row needs
+  # its own literal, or a prefix literal it extends by a dot, as
+  # cache.result.hits extends "cache.result". Other tables, such as the
+  # trace-context fields, are not checked.
+  rows=$(awk '
+    /^\|/ {
+      split($0, cells, "|")
+      first = cells[2]
+      gsub(/^[ \t]+|[ \t]+$/, "", first)
+      if (!in_table) { in_table = 1; header = 1; metric_table = (first == "Name"); next }
+      if (header) { header = 0; next }
+      if (metric_table && first ~ /^`[^`]+`$/) { gsub(/`/, "", first); print first }
+      next
+    }
+    { in_table = 0 }
+  ' "$catalogue" | grep -E "^$prefixes\." | sort -u)
+  for name in $rows; do
+    case "$name" in
+      *"<"*) wanted="${name%%<*}" ;;
+      *) wanted="$name" ;;
+    esac
+    found=0
+    for literal in $registered; do
+      case "$wanted" in
+        "$literal") found=1 ;;
+        "$literal".*) case "$literal" in *.) ;; *) found=1 ;; esac ;;
+      esac
+      [ "$found" -eq 1 ] && break
+    done
+    if [ "$found" -eq 0 ]; then
+      echo "STALE METRIC ROW: $name (no source in src/ registers it; remove it from $catalogue)"
       failures=$((failures + 1))
     fi
   done
