@@ -5,7 +5,6 @@
 #include "common/csv.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "obs/trace_context.h"
 #include "util/string_util.h"
 
 namespace mbq::bitmapstore {
@@ -139,9 +138,8 @@ Status ScriptLoader::Execute(const std::string& script_text,
                              const std::string& base_dir) {
   wall_start_millis_ = NowWallMillis();
   io_start_nanos_ = graph_->SimulatedIoNanos();
-  // The load is an ingress: its spans share one trace and nest under the
-  // import span by parent id in /trace.json.
-  obs::ScopedTraceContext trace(obs::ChildOrRootContext());
+  // The import span is the ingress: the phase spans share its trace and
+  // nest under it by parent id in /trace.json.
   obs::TraceSpan import_span("import:bitmapstore");
   for (std::string_view line : SplitString(script_text, '\n')) {
     std::vector<std::string> tokens = Tokenize(line);

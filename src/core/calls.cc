@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "core/workload.h"
-#include "obs/trace_context.h"
 
 namespace mbq::core {
 
@@ -105,11 +104,6 @@ std::string CallSpecToString(const CallSpec& spec) {
 }
 
 Result<ValueRows> RunCall(MicroblogEngine& engine, const CallSpec& spec) {
-  // The driver funnel is an ingress: every dispatched call gets a trace
-  // context (a child when an outer scope — e.g. a traced RPC — already
-  // named the request, a fresh root otherwise), so the engine's spans
-  // and any remote fan-out stitch under one trace id.
-  obs::ScopedTraceContext trace(obs::ChildOrRootContext());
   switch (spec.kind) {
     case CallKind::kSelectUsers:
       return engine.SelectUsersByFollowerCount(spec.threshold);

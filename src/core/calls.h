@@ -88,8 +88,9 @@ struct CallOutcome {
 /// calls route through engine.AsWritable() — NotImplemented when the
 /// engine is read-only — and answer no rows: the ids a write assigns are
 /// allocation-order dependent, so returning them would make identical
-/// logical streams compare unequal. Every call is a trace ingress: it
-/// runs under a child of the current trace context, or a fresh root.
+/// logical streams compare unequal. RunCall opens no trace context of
+/// its own: the engine's call span is the ingress, a child of the current
+/// context or a fresh root.
 Result<ValueRows> RunCall(MicroblogEngine& engine, const CallSpec& spec);
 
 /// RunCall, reduced to its CallOutcome.

@@ -73,17 +73,8 @@ rpc::Frame ShardService::Handle(const rpc::Frame& request) {
   if (request.type == static_cast<uint8_t>(rpc::MsgType::kTracedEnvelope)) {
     return HandleEnvelope(request, entry_nanos);
   }
-  // Bare kCall/kQuery frames are an ingress in their own right (an
-  // untraced client, or an old peer): mint a root context so the local
-  // spans — and any fan-out the aggregator's engine performs — are still
-  // stitched under one trace id.
-  if (request.type == static_cast<uint8_t>(rpc::MsgType::kCall) ||
-      request.type == static_cast<uint8_t>(rpc::MsgType::kQuery)) {
-    obs::ScopedTraceContext scope(obs::MintTraceContext());
-    Result<rpc::Frame> reply = Dispatch(request);
-    if (reply.ok()) return *std::move(reply);
-    return rpc::EncodeError(reply.status());
-  }
+  // A bare frame comes from an untraced client: the engine's own call
+  // span mints the root.
   Result<rpc::Frame> reply = Dispatch(request);
   if (reply.ok()) return *std::move(reply);
   return rpc::EncodeError(reply.status());

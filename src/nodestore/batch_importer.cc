@@ -5,7 +5,6 @@
 #include "common/csv.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "obs/trace_context.h"
 #include "util/string_util.h"
 
 namespace mbq::nodestore {
@@ -152,9 +151,8 @@ Status BatchImporter::ImportRelFile(const ImportSpec::RelFile& file,
 Status BatchImporter::Run(const ImportSpec& spec, const std::string& base_dir) {
   wall_start_millis_ = NowWallMillis();
   io_start_nanos_ = db_->SimulatedIoNanos();
-  // The import is an ingress: its spans share one trace and nest under
-  // the import span by parent id in /trace.json.
-  obs::ScopedTraceContext trace(obs::ChildOrRootContext());
+  // The import span is the ingress: the phase spans share its trace and
+  // nest under it by parent id in /trace.json.
   obs::TraceSpan import_span("import:nodestore");
 
   for (const auto& file : spec.nodes) {

@@ -8,7 +8,7 @@ namespace mbq::obs {
 
 TraceSpan::TraceSpan(std::string name, Histogram* latency)
     : latency_(latency), name_(std::move(name)) {
-  if (!name_.empty()) trace_scope_.emplace();  // child of any active trace
+  if (!name_.empty()) trace_scope_.emplace(ChildOrRootContext());
   start_nanos_ = clock_.NowNanos();
 }
 

@@ -15,8 +15,9 @@ namespace mbq::obs {
 /// nanoseconds into the Histogram (which may be null). A named span also
 /// lands in the process-wide SpanRecorder, so the stats server's /trace
 /// and /trace.json cover import phases out of the box. It opens a child
-/// TraceContext for its extent, so every span it encloses (including
-/// RPCs) nests under it by parent id.
+/// of the active TraceContext, or a fresh root when none is active, for
+/// its extent, so every span it encloses (including RPCs) nests under it
+/// by parent id.
 class TraceSpan {
  public:
   explicit TraceSpan(std::string name, Histogram* latency = nullptr);
@@ -31,7 +32,7 @@ class TraceSpan {
  private:
   Histogram* latency_ = nullptr;
   std::string name_;  // non-empty spans forward to SpanRecorder::Global()
-  /// Child context held open until Finish(); inert outside a trace.
+  /// The span's own context, held open until Finish().
   std::optional<ScopedTraceContext> trace_scope_;
   uint64_t start_nanos_ = 0;
   bool finished_ = false;

@@ -9,6 +9,7 @@
 #include "core/calls.h"
 #include "core/nodestore_engine.h"
 #include "core/workload.h"
+#include "recorded_spans.h"
 #include "twitter/loaders.h"
 #include "verify_sweep.h"
 
@@ -386,6 +387,26 @@ TEST_F(VerifyTest, MatchingErrorsAgreeInTheirOwnTally) {
 
 TEST_F(VerifyTest, MissingAnchorsAnswerNoRowsOnBothEngines) {
   ExpectAgreement(Verify(*ns_, *bm_, MissingAnchorSpecs()), 10);
+}
+
+/// RunCall opens no trace context of its own, so on either engine every
+/// span a call records names no parent or a span the ring also holds.
+TEST_F(VerifyTest, RunCallSpansNameOnlyRecordedParents) {
+  ParamUniverse universe(dataset_);
+  for (MicroblogEngine* engine :
+       {static_cast<MicroblogEngine*>(ns_.get()),
+        static_cast<MicroblogEngine*>(bm_.get())}) {
+    SCOPED_TRACE(engine->name());
+    obs::SpanRecorder::Global().Clear();
+    for (const CallSpec& spec : ReadSweep(universe, 5, 11)) {
+      Result<ValueRows> rows = RunCall(*engine, spec);
+      ASSERT_TRUE(rows.ok()) << CallSpecToString(spec) << ": "
+                             << rows.status().ToString();
+    }
+    std::vector<obs::RecordedSpan> spans = obs::RecordedSpans();
+    EXPECT_FALSE(spans.empty());
+    EXPECT_EQ(std::vector<std::string>{}, obs::OrphanSpans(spans));
+  }
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <set>
 #include <string>
 #include <type_traits>
 #include <vector>
@@ -15,6 +16,7 @@
 #include "obs/introspect.h"
 #include "obs/metrics.h"
 #include "obs/trace_context.h"
+#include "recorded_spans.h"
 #include "rpc/server.h"
 #include "storage/simulated_disk.h"
 #include "twitter/loaders.h"
@@ -288,6 +290,27 @@ TEST_P(ClusterAgreementTest, TracedCallsStitchAcrossTheRpcBoundary) {
   // At least the client-side nav span plus one span per shard, all
   // under the same trace even though the context crossed the wire.
   EXPECT_GE(stitched, 1u + GetParam().shards) << json;
+
+  // Every span's parent is recorded too, or is the test's own root; and
+  // each shard's engine span sits under that shard's server span.
+  std::vector<obs::RecordedSpan> spans = obs::RecordedSpans();
+  EXPECT_EQ(std::vector<std::string>{},
+            obs::OrphanSpans(spans, {obs::SpanIdHex(root.span_id)}))
+      << json;
+  std::set<std::string> server_spans;
+  for (const obs::RecordedSpan& span : spans) {
+    if (span.name == "rpc.server.kCall") server_spans.insert(span.span_id);
+  }
+  EXPECT_EQ(GetParam().shards, server_spans.size()) << json;
+  size_t engine_spans = 0;
+  for (const obs::RecordedSpan& span : spans) {
+    if (span.name.rfind("rpc.", 0) == 0 || span.name.rfind("remote.", 0) == 0) {
+      continue;
+    }
+    ++engine_spans;
+    EXPECT_EQ(1u, server_spans.count(span.parent_span_id)) << span.name;
+  }
+  EXPECT_GE(engine_spans, GetParam().shards) << json;
 
   // Latency attribution: every shard's histogram saw the call.
   obs::MetricsSnapshot snap = obs::MetricsRegistry::Default().Snapshot();

@@ -2,7 +2,6 @@
 
 #include <filesystem>
 #include <set>
-#include <sstream>
 #include <string>
 #include <tuple>
 #include <unistd.h>
@@ -11,6 +10,7 @@
 
 #include "bitmapstore/script_loader.h"
 #include "obs/introspect.h"
+#include "recorded_spans.h"
 #include "twitter/csv_export.h"
 #include "twitter/dataset.h"
 #include "twitter/loaders.h"
@@ -266,34 +266,11 @@ TEST_F(ExportTest, DirectLoadersMatchDatasetCounts) {
   EXPECT_EQ(graph.CountObjects(bh->follows), d.follows.size());
 }
 
-/// One span of SpanRecorder::ToTraceJson(), which prints a span per line.
-struct RecordedSpan {
-  std::string name;
-  std::string trace_id;
-  std::string span_id;
-  std::string parent_span_id;
-};
+using obs::RecordedSpan;
+using obs::RecordedSpans;
 
-std::vector<RecordedSpan> RecordedSpans() {
-  auto field = [](const std::string& line, const std::string& key) {
-    const std::string open = "\"" + key + "\": \"";
-    size_t at = line.find(open);
-    if (at == std::string::npos) return std::string();
-    at += open.size();
-    return line.substr(at, line.find('"', at) - at);
-  };
-  std::vector<RecordedSpan> spans;
-  std::istringstream json(obs::SpanRecorder::Global().ToTraceJson());
-  for (std::string line; std::getline(json, line);) {
-    if (line.find("\"span_id\"") == std::string::npos) continue;
-    spans.push_back({field(line, "name"), field(line, "trace_id"),
-                     field(line, "span_id"), field(line, "parent_span_id")});
-  }
-  return spans;
-}
-
-/// Both bulk loaders are trace ingresses: every phase span of one run
-/// shares the import span's trace id and names it as parent.
+/// Both bulk loaders are trace ingresses: the import span is a root, and
+/// every phase span of one run shares its trace id and names it as parent.
 TEST_F(ExportTest, ImportPhaseSpansNestUnderTheImportSpan) {
   Dataset d = GenerateDataset(SmallSpec());
   ASSERT_TRUE(ExportCsv(d, dir_.string()).ok());
@@ -331,6 +308,7 @@ TEST_F(ExportTest, ImportPhaseSpansNestUnderTheImportSpan) {
     }
     ASSERT_NE(import, nullptr);
     EXPECT_NE(import->trace_id, std::string(32, '0'));
+    EXPECT_EQ(import->parent_span_id, obs::SpanIdHex(0));
     size_t children = 0;
     for (const RecordedSpan& span : *recorded) {
       if (&span == import) continue;
