@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "core/workload.h"
+#include "util/logging.h"
 
 namespace mbq::core {
 
@@ -172,6 +173,54 @@ Result<CallOutcome> DispatchCall(MicroblogEngine& engine,
   outcome.rows = rows->size();
   outcome.digest = DigestRows(*rows);
   return outcome;
+}
+
+// The read kinds are declared in their kCall order (rpc::NavCall).
+static_assert(static_cast<int>(CallKind::kSelectUsers) + 1 ==
+              static_cast<int>(rpc::NavCall::kSelectUsersByFollowerCount));
+static_assert(static_cast<int>(CallKind::kShortestPath) + 1 ==
+              static_cast<int>(rpc::NavCall::kShortestPathLength));
+
+rpc::Frame EncodeCallSpec(const CallSpec& spec) {
+  MBQ_CHECK(!IsWriteCall(spec.kind));
+  rpc::CallRequest req;
+  req.call = static_cast<rpc::NavCall>(static_cast<int>(spec.kind) + 1);
+  switch (spec.kind) {
+    case CallKind::kSelectUsers:
+      req.uid = spec.threshold;
+      break;
+    case CallKind::kFollowees:
+    case CallKind::kTweetsOfFollowees:
+    case CallKind::kHashtagsOfFollowees:
+      req.uid = spec.a;
+      break;
+    case CallKind::kTopCoTags:
+      req.tag = spec.tag;
+      req.arg = spec.n;
+      break;
+    case CallKind::kShortestPath:
+      req.uid = spec.a;
+      req.arg = spec.b;
+      req.max_hops = spec.max_hops;
+      break;
+    default:  // the top-n kinds anchored on a uid
+      req.uid = spec.a;
+      req.arg = spec.n;
+      break;
+  }
+  return rpc::EncodeCall(req);
+}
+
+Result<CallSpec> DecodeCallSpec(const rpc::Frame& frame) {
+  rpc::CallRequest req;
+  MBQ_ASSIGN_OR_RETURN(req, rpc::DecodeCall(frame));
+  CallSpec spec;
+  spec.kind = static_cast<CallKind>(static_cast<int>(req.call) - 1);
+  spec.a = spec.threshold = req.uid;
+  spec.b = spec.n = req.arg;
+  spec.max_hops = req.max_hops;
+  spec.tag = std::move(req.tag);
+  return spec;
 }
 
 VerifyTally VerifyReport::Total() const {

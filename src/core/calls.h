@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "core/engine.h"
+#include "rpc/messages.h"
 #include "twitter/dataset.h"
 #include "util/rng.h"
 
@@ -96,6 +97,17 @@ Result<ValueRows> RunCall(MicroblogEngine& engine, const CallSpec& spec);
 /// RunCall, reduced to its CallOutcome.
 Result<CallOutcome> DispatchCall(MicroblogEngine& engine,
                                  const CallSpec& spec);
+
+/// The kCall frame asking a shard to run `spec`, which must be a read
+/// kind: call value kind + 1, and only the fields docs/CLUSTER.md assigns
+/// to that call (the rest encode as zero).
+rpc::Frame EncodeCallSpec(const CallSpec& spec);
+
+/// The read call a kCall frame carries. Each body field lands in every
+/// CallSpec field it can mean (uid in `a` and `threshold`, arg in `b` and
+/// `n`); RunCall reads only the ones the kind uses. Corruption on a
+/// malformed body or a call value outside 1–11.
+Result<CallSpec> DecodeCallSpec(const rpc::Frame& frame);
 
 /// One call kind's tally in a Verify run. A call on which both engines
 /// fail with the same status code counts as agreed, and also in

@@ -21,7 +21,7 @@ constexpr int64_t kUnboundedN = int64_t{1} << 30;
 
 /// One shard exchange as seen by the aggregator: its round trip plus the
 /// timing summary the shard sent back (reply_nanos == 0 when the reply
-/// came back bare — an untraced exchange or an old peer).
+/// came back bare — an untraced exchange or a near-cap reply).
 struct ShardSample {
   uint32_t shard = 0;
   uint64_t rtt_nanos = 0;
@@ -246,23 +246,34 @@ Result<rpc::Frame> RemoteEngine::CallShard(uint32_t shard,
   return reply;
 }
 
+Result<std::vector<rpc::Frame>> RemoteEngine::CallEveryShard(
+    const rpc::Frame& request) {
+  std::vector<rpc::Frame> replies;
+  replies.reserve(shards_.size());
+  for (uint32_t shard = 0; shard < shards_.size(); ++shard) {
+    rpc::Frame reply;
+    MBQ_ASSIGN_OR_RETURN(reply, CallShard(shard, request));
+    replies.push_back(std::move(reply));
+  }
+  return replies;
+}
+
 Result<ValueRows> RemoteEngine::CallRows(uint32_t shard,
-                                         const rpc::CallRequest& req) {
+                                         const CallSpec& spec) {
   AggregatorMetrics::Get().routed_calls->Inc();
   rpc::Frame reply;
-  MBQ_ASSIGN_OR_RETURN(reply, CallShard(shard, rpc::EncodeCall(req)));
+  MBQ_ASSIGN_OR_RETURN(reply, CallShard(shard, EncodeCallSpec(spec)));
   return rpc::DecodeRowsReply(reply);
 }
 
 Result<std::vector<ValueRows>> RemoteEngine::FanOutRows(
-    const rpc::CallRequest& req) {
+    const CallSpec& spec) {
   AggregatorMetrics::Get().fanout_calls->Inc();
+  std::vector<rpc::Frame> replies;
+  MBQ_ASSIGN_OR_RETURN(replies, CallEveryShard(EncodeCallSpec(spec)));
   std::vector<ValueRows> per_shard;
-  per_shard.reserve(shards_.size());
-  rpc::Frame request = rpc::EncodeCall(req);
-  for (uint32_t shard = 0; shard < shards_.size(); ++shard) {
-    rpc::Frame reply;
-    MBQ_ASSIGN_OR_RETURN(reply, CallShard(shard, request));
+  per_shard.reserve(replies.size());
+  for (const rpc::Frame& reply : replies) {
     ValueRows rows;
     MBQ_ASSIGN_OR_RETURN(rows, rpc::DecodeRowsReply(reply));
     per_shard.push_back(std::move(rows));
@@ -270,12 +281,10 @@ Result<std::vector<ValueRows>> RemoteEngine::FanOutRows(
   return per_shard;
 }
 
-Result<ValueRows> RemoteEngine::FanOutCounts(const rpc::CallRequest& req,
-                                             int64_t n) {
-  rpc::CallRequest unbounded = req;
-  unbounded.arg = kUnboundedN;
+Result<ValueRows> RemoteEngine::FanOutCounts(CallSpec spec, int64_t n) {
+  spec.n = kUnboundedN;
   std::vector<ValueRows> per_shard;
-  MBQ_ASSIGN_OR_RETURN(per_shard, FanOutRows(unbounded));
+  MBQ_ASSIGN_OR_RETURN(per_shard, FanOutRows(spec));
   // Sum per-key counts across shards. Tweets are disjoint and the counts
   // are per-tweet, so addition is the exact global count; TopNCounts
   // then applies the same deterministic ranking the local engines use.
@@ -302,29 +311,29 @@ Result<ValueRows> RemoteEngine::SelectUsersByFollowerCount(
     int64_t threshold) {
   RemoteCallTracker tracker("remote.select_users_by_follower_count");
   // Users are replicated; spread repeated scans over the shards.
-  rpc::CallRequest req;
-  req.call = rpc::NavCall::kSelectUsersByFollowerCount;
-  req.uid = threshold;
+  CallSpec spec;
+  spec.kind = CallKind::kSelectUsers;
+  spec.threshold = threshold;
   uint32_t shard = static_cast<uint32_t>(
       static_cast<uint64_t>(threshold) % shards_.size());
-  return CallRows(shard, req);
+  return CallRows(shard, spec);
 }
 
 Result<ValueRows> RemoteEngine::FolloweesOf(int64_t uid) {
   RemoteCallTracker tracker("remote.followees_of");
-  rpc::CallRequest req;
-  req.call = rpc::NavCall::kFolloweesOf;
-  req.uid = uid;
-  return CallRows(partitioner_.OwnerShard(uid), req);
+  CallSpec spec;
+  spec.kind = CallKind::kFollowees;
+  spec.a = uid;
+  return CallRows(partitioner_.OwnerShard(uid), spec);
 }
 
 Result<ValueRows> RemoteEngine::TweetsOfFollowees(int64_t uid) {
   RemoteCallTracker tracker("remote.tweets_of_followees");
-  rpc::CallRequest req;
-  req.call = rpc::NavCall::kTweetsOfFollowees;
-  req.uid = uid;
+  CallSpec spec;
+  spec.kind = CallKind::kTweetsOfFollowees;
+  spec.a = uid;
   std::vector<ValueRows> per_shard;
-  MBQ_ASSIGN_OR_RETURN(per_shard, FanOutRows(req));
+  MBQ_ASSIGN_OR_RETURN(per_shard, FanOutRows(spec));
   // Tweets are disjoint across shards and every shard sees the full
   // follows graph, so plain concatenation reproduces the single-process
   // multiset exactly (including per-path duplicates).
@@ -339,11 +348,11 @@ Result<ValueRows> RemoteEngine::TweetsOfFollowees(int64_t uid) {
 
 Result<ValueRows> RemoteEngine::HashtagsUsedByFollowees(int64_t uid) {
   RemoteCallTracker tracker("remote.hashtags_used_by_followees");
-  rpc::CallRequest req;
-  req.call = rpc::NavCall::kHashtagsUsedByFollowees;
-  req.uid = uid;
+  CallSpec spec;
+  spec.kind = CallKind::kHashtagsOfFollowees;
+  spec.a = uid;
   std::vector<ValueRows> per_shard;
-  MBQ_ASSIGN_OR_RETURN(per_shard, FanOutRows(req));
+  MBQ_ASSIGN_OR_RETURN(per_shard, FanOutRows(spec));
   // Each shard reports the distinct hashtags of its tweet slice; the
   // same tag can surface on several shards, so the union re-deduplicates.
   ValueRows merged;
@@ -359,77 +368,80 @@ Result<ValueRows> RemoteEngine::HashtagsUsedByFollowees(int64_t uid) {
 
 Result<ValueRows> RemoteEngine::TopCoMentionedUsers(int64_t uid, int64_t n) {
   RemoteCallTracker tracker("remote.top_co_mentioned_users");
-  rpc::CallRequest req;
-  req.call = rpc::NavCall::kTopCoMentionedUsers;
-  req.uid = uid;
-  return FanOutCounts(req, n);
+  CallSpec spec;
+  spec.kind = CallKind::kTopCoMentioned;
+  spec.a = uid;
+  return FanOutCounts(spec, n);
 }
 
 Result<ValueRows> RemoteEngine::TopCoOccurringHashtags(const std::string& tag,
                                                        int64_t n) {
   RemoteCallTracker tracker("remote.top_co_occurring_hashtags");
-  rpc::CallRequest req;
-  req.call = rpc::NavCall::kTopCoOccurringHashtags;
-  req.tag = tag;
-  return FanOutCounts(req, n);
+  CallSpec spec;
+  spec.kind = CallKind::kTopCoTags;
+  spec.tag = tag;
+  return FanOutCounts(spec, n);
 }
 
 Result<ValueRows> RemoteEngine::RecommendFolloweesOfFollowees(int64_t uid,
                                                               int64_t n) {
   RemoteCallTracker tracker("remote.recommend_followees_of_followees");
-  rpc::CallRequest req;
-  req.call = rpc::NavCall::kRecommendFolloweesOfFollowees;
-  req.uid = uid;
-  req.arg = n;
-  return CallRows(partitioner_.OwnerShard(uid), req);
+  CallSpec spec;
+  spec.kind = CallKind::kRecFollowees;
+  spec.a = uid;
+  spec.n = n;
+  return CallRows(partitioner_.OwnerShard(uid), spec);
 }
 
 Result<ValueRows> RemoteEngine::RecommendFollowersOfFollowees(int64_t uid,
                                                               int64_t n) {
   RemoteCallTracker tracker("remote.recommend_followers_of_followees");
-  rpc::CallRequest req;
-  req.call = rpc::NavCall::kRecommendFollowersOfFollowees;
-  req.uid = uid;
-  req.arg = n;
-  return CallRows(partitioner_.OwnerShard(uid), req);
+  CallSpec spec;
+  spec.kind = CallKind::kRecFollowers;
+  spec.a = uid;
+  spec.n = n;
+  return CallRows(partitioner_.OwnerShard(uid), spec);
 }
 
 Result<ValueRows> RemoteEngine::CurrentInfluence(int64_t uid, int64_t n) {
   RemoteCallTracker tracker("remote.current_influence");
-  rpc::CallRequest req;
-  req.call = rpc::NavCall::kCurrentInfluence;
-  req.uid = uid;
-  return FanOutCounts(req, n);
+  CallSpec spec;
+  spec.kind = CallKind::kCurrentInfluence;
+  spec.a = uid;
+  return FanOutCounts(spec, n);
 }
 
 Result<ValueRows> RemoteEngine::PotentialInfluence(int64_t uid, int64_t n) {
   RemoteCallTracker tracker("remote.potential_influence");
-  rpc::CallRequest req;
-  req.call = rpc::NavCall::kPotentialInfluence;
-  req.uid = uid;
-  return FanOutCounts(req, n);
+  CallSpec spec;
+  spec.kind = CallKind::kPotentialInfluence;
+  spec.a = uid;
+  return FanOutCounts(spec, n);
 }
 
 Result<int64_t> RemoteEngine::ShortestPathLength(int64_t uid_a, int64_t uid_b,
                                                  uint32_t max_hops) {
   RemoteCallTracker tracker("remote.shortest_path_length");
-  rpc::CallRequest req;
-  req.call = rpc::NavCall::kShortestPathLength;
-  req.uid = uid_a;
-  req.arg = uid_b;
-  req.max_hops = max_hops;
-  AggregatorMetrics::Get().routed_calls->Inc();
-  rpc::Frame reply;
-  MBQ_ASSIGN_OR_RETURN(
-      reply, CallShard(partitioner_.OwnerShard(uid_a), rpc::EncodeCall(req)));
-  return rpc::DecodeIntReply(reply);
+  CallSpec spec;
+  spec.kind = CallKind::kShortestPath;
+  spec.a = uid_a;
+  spec.b = uid_b;
+  spec.max_hops = max_hops;
+  ValueRows rows;
+  MBQ_ASSIGN_OR_RETURN(rows, CallRows(partitioner_.OwnerShard(uid_a), spec));
+  // RunCall's answer: one row holding the length.
+  if (rows.size() != 1 || rows[0].size() != 1 ||
+      rows[0][0].type() != common::ValueType::kInt) {
+    return Status::Corruption("rpc: Q6.1 expects one int64 row");
+  }
+  return rows[0][0].AsInt();
 }
 
 Status RemoteEngine::DropCaches() {
-  for (uint32_t shard = 0; shard < shards_.size(); ++shard) {
-    rpc::Frame reply;
-    MBQ_ASSIGN_OR_RETURN(
-        reply, CallShard(shard, rpc::EmptyFrame(rpc::MsgType::kDropCaches)));
+  std::vector<rpc::Frame> replies;
+  MBQ_ASSIGN_OR_RETURN(
+      replies, CallEveryShard(rpc::EmptyFrame(rpc::MsgType::kDropCaches)));
+  for (const rpc::Frame& reply : replies) {
     if (reply.type != static_cast<uint8_t>(rpc::MsgType::kOkReply)) {
       return Status::Corruption(
           std::string("rpc: expected kOkReply, got ") +
@@ -437,48 +449,6 @@ Status RemoteEngine::DropCaches() {
     }
   }
   return Status::OK();
-}
-
-Result<rpc::QueryReply> RemoteEngine::Query(const rpc::QueryRequest& req) {
-  RemoteCallTracker tracker("remote.query");
-  if (req.merge == rpc::QueryMerge::kRoute) {
-    if (req.route_shard >= shards_.size()) {
-      return Status::InvalidArgument(
-          "route shard " + std::to_string(req.route_shard) +
-          " out of range (have " + std::to_string(shards_.size()) + ")");
-    }
-    AggregatorMetrics::Get().routed_calls->Inc();
-    rpc::Frame reply;
-    MBQ_ASSIGN_OR_RETURN(reply,
-                         CallShard(req.route_shard, rpc::EncodeQuery(req)));
-    return rpc::DecodeQueryReply(reply);
-  }
-  AggregatorMetrics::Get().fanout_calls->Inc();
-  rpc::Frame request = rpc::EncodeQuery(req);
-  rpc::QueryReply merged;
-  bool have_columns = false;
-  for (uint32_t shard = 0; shard < shards_.size(); ++shard) {
-    rpc::Frame reply;
-    MBQ_ASSIGN_OR_RETURN(reply, CallShard(shard, request));
-    rpc::QueryReply part;
-    MBQ_ASSIGN_OR_RETURN(part, rpc::DecodeQueryReply(reply));
-    if (!have_columns) {
-      merged.columns = std::move(part.columns);
-      have_columns = true;
-    } else if (part.columns != merged.columns) {
-      return Status::Corruption("shards returned different query columns");
-    }
-    merged.rows.insert(merged.rows.end(),
-                       std::make_move_iterator(part.rows.begin()),
-                       std::make_move_iterator(part.rows.end()));
-  }
-  AggregatorMetrics::Get().merged_rows->Inc(merged.rows.size());
-  if (req.merge == rpc::QueryMerge::kDistinct) {
-    SortRows(&merged.rows);
-    merged.rows.erase(std::unique(merged.rows.begin(), merged.rows.end()),
-                      merged.rows.end());
-  }
-  return merged;
 }
 
 }  // namespace mbq::core

@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "core/calls.h"
 #include "core/engine.h"
 #include "core/partition.h"
 #include "rpc/client.h"
@@ -67,11 +68,6 @@ class RemoteEngine : public MicroblogEngine {
   /// AsWritable() fail cleanly instead of hanging on an unanswered frame.
   WritableEngine* AsWritable() override { return nullptr; }
 
-  /// Remote mini-Cypher: kRoute passes one shard's reply through,
-  /// kConcat/kDistinct fan out and merge rows. Fails with NotImplemented
-  /// when a shard has no Cypher surface (bitmap engines).
-  Result<rpc::QueryReply> Query(const rpc::QueryRequest& req);
-
   uint32_t num_shards() const {
     return static_cast<uint32_t>(shards_.size());
   }
@@ -87,14 +83,19 @@ class RemoteEngine : public MicroblogEngine {
   /// (remote_engine.cc), which is what /slow breakdowns are built from.
   Result<rpc::Frame> CallShard(uint32_t shard, const rpc::Frame& request);
 
+  /// The one shard loop: sends `request` to every shard and returns the
+  /// replies in shard order; the first shard that fails fails the whole.
+  /// Every fan-out read and DropCaches go through it.
+  Result<std::vector<rpc::Frame>> CallEveryShard(const rpc::Frame& request);
+
   /// One kCall to one shard, rows reply expected.
-  Result<ValueRows> CallRows(uint32_t shard, const rpc::CallRequest& req);
+  Result<ValueRows> CallRows(uint32_t shard, const CallSpec& spec);
   /// Fan out a kCall to every shard; any shard's error fails the call
   /// (a missing anchor is no rows on every engine, not an error).
-  Result<std::vector<ValueRows>> FanOutRows(const rpc::CallRequest& req);
-  /// Fan out, then sum (key, count) rows by key and re-rank with
-  /// TopNCounts — the exact-merge path for Q3.x/Q5.x.
-  Result<ValueRows> FanOutCounts(const rpc::CallRequest& req, int64_t n);
+  Result<std::vector<ValueRows>> FanOutRows(const CallSpec& spec);
+  /// Fan out with an unbounded n, then sum (key, count) rows by key and
+  /// re-rank with TopNCounts — the exact-merge path for Q3.x/Q5.x.
+  Result<ValueRows> FanOutCounts(CallSpec spec, int64_t n);
 
   std::vector<std::unique_ptr<rpc::RpcClient>> shards_;  // by shard id
   Partitioner partitioner_;

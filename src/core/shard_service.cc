@@ -4,6 +4,7 @@
 #include <cstring>
 #include <mutex>
 
+#include "core/calls.h"
 #include "obs/introspect.h"
 #include "obs/metrics.h"
 #include "obs/trace_context.h"
@@ -13,11 +14,11 @@ namespace mbq::core {
 
 namespace {
 
-/// Per-call latency histograms, indexed by NavCall wire value. The names
-/// are spelled out literally so the docs link checker can hold
-/// docs/OBSERVABILITY.md to account for every one of them.
-obs::Histogram* CallLatency(rpc::NavCall call) {
-  static obs::Histogram* table[12] = {};
+/// Per-call latency histograms of the eleven read kinds, indexed by
+/// CallKind. The names are spelled out literally so the docs link checker
+/// can hold docs/OBSERVABILITY.md to account for every one of them.
+obs::Histogram* CallLatency(CallKind kind) {
+  static obs::Histogram* table[11] = {};
   static std::once_flag once;
   std::call_once(once, [] {
     obs::MetricsRegistry& reg = obs::MetricsRegistry::Default();
@@ -25,24 +26,20 @@ obs::Histogram* CallLatency(rpc::NavCall call) {
       return reg.GetHistogram(name, "us",
                               "Server-side latency of this navigation call");
     };
-    table[1] = hist("rpc.call.select_users_by_follower_count.latency");
-    table[2] = hist("rpc.call.followees_of.latency");
-    table[3] = hist("rpc.call.tweets_of_followees.latency");
-    table[4] = hist("rpc.call.hashtags_used_by_followees.latency");
-    table[5] = hist("rpc.call.top_co_mentioned_users.latency");
-    table[6] = hist("rpc.call.top_co_occurring_hashtags.latency");
-    table[7] = hist("rpc.call.recommend_followees_of_followees.latency");
-    table[8] = hist("rpc.call.recommend_followers_of_followees.latency");
-    table[9] = hist("rpc.call.current_influence.latency");
-    table[10] = hist("rpc.call.potential_influence.latency");
-    table[11] = hist("rpc.call.shortest_path_length.latency");
+    table[0] = hist("rpc.call.select_users_by_follower_count.latency");
+    table[1] = hist("rpc.call.followees_of.latency");
+    table[2] = hist("rpc.call.tweets_of_followees.latency");
+    table[3] = hist("rpc.call.hashtags_used_by_followees.latency");
+    table[4] = hist("rpc.call.top_co_mentioned_users.latency");
+    table[5] = hist("rpc.call.top_co_occurring_hashtags.latency");
+    table[6] = hist("rpc.call.recommend_followees_of_followees.latency");
+    table[7] = hist("rpc.call.recommend_followers_of_followees.latency");
+    table[8] = hist("rpc.call.current_influence.latency");
+    table[9] = hist("rpc.call.potential_influence.latency");
+    table[10] = hist("rpc.call.shortest_path_length.latency");
   });
-  return table[static_cast<uint8_t>(call)];
+  return table[static_cast<size_t>(kind)];
 }
-
-}  // namespace
-
-namespace {
 
 /// Overwrites the four ShardTiming words of an encoded reply envelope in
 /// place. Timing can only be final *after* the envelope is encoded (the
@@ -64,9 +61,8 @@ void PatchEnvelopeTiming(rpc::Frame* frame, const rpc::ShardTiming& timing) {
 
 }  // namespace
 
-ShardService::ShardService(MicroblogEngine* engine, rpc::HelloReply info,
-                           QueryFn query_fn)
-    : engine_(engine), info_(std::move(info)), query_fn_(std::move(query_fn)) {}
+ShardService::ShardService(MicroblogEngine* engine, rpc::HelloReply info)
+    : engine_(engine), info_(std::move(info)) {}
 
 rpc::Frame ShardService::Handle(const rpc::Frame& request) {
   uint64_t entry_nanos = WallClock().NowNanos();
@@ -136,20 +132,16 @@ Result<rpc::Frame> ShardService::Dispatch(const rpc::Frame& request) {
     case rpc::MsgType::kPing:
       return rpc::EmptyFrame(rpc::MsgType::kPong);
     case rpc::MsgType::kCall: {
-      rpc::CallRequest req;
-      MBQ_ASSIGN_OR_RETURN(req, rpc::DecodeCall(request));
-      return DispatchCall(req);
-    }
-    case rpc::MsgType::kQuery: {
-      if (!query_fn_) {
-        return Status::NotImplemented(
-            "this shard's engine has no mini-Cypher surface");
-      }
-      rpc::QueryRequest req;
-      MBQ_ASSIGN_OR_RETURN(req, rpc::DecodeQuery(request));
-      rpc::QueryReply reply;
-      MBQ_ASSIGN_OR_RETURN(reply, query_fn_(req));
-      return rpc::EncodeQueryReply(reply);
+      CallSpec spec;
+      MBQ_ASSIGN_OR_RETURN(spec, DecodeCallSpec(request));
+      auto start = std::chrono::steady_clock::now();
+      Result<ValueRows> rows = RunCall(*engine_, spec);
+      CallLatency(spec.kind)->Record(static_cast<uint64_t>(
+          std::chrono::duration_cast<std::chrono::microseconds>(
+              std::chrono::steady_clock::now() - start)
+              .count()));
+      MBQ_RETURN_IF_ERROR(rows.status());
+      return rpc::EncodeRowsReply(*rows);
     }
     case rpc::MsgType::kDropCaches:
       MBQ_RETURN_IF_ERROR(engine_->DropCaches());
@@ -163,57 +155,11 @@ Result<rpc::Frame> ShardService::Dispatch(const rpc::Frame& request) {
           "rpc: kWriteBatch is reserved — cluster writes are not "
           "implemented; open the engine locally with enable_writes");
     default:
+      // The retired kIntReply, kQuery and kQueryReply land here too.
       return Status::NotImplemented(
           std::string("rpc: server cannot handle ") +
           rpc::MsgTypeName(request.type) + " frames");
   }
-}
-
-Result<rpc::Frame> ShardService::DispatchCall(const rpc::CallRequest& req) {
-  auto start = std::chrono::steady_clock::now();
-  Result<rpc::Frame> reply = [&]() -> Result<rpc::Frame> {
-    auto rows = [](Result<ValueRows> r) -> Result<rpc::Frame> {
-      MBQ_RETURN_IF_ERROR(r.status());
-      return rpc::EncodeRowsReply(*std::move(r));
-    };
-    switch (req.call) {
-      case rpc::NavCall::kSelectUsersByFollowerCount:
-        return rows(engine_->SelectUsersByFollowerCount(req.uid));
-      case rpc::NavCall::kFolloweesOf:
-        return rows(engine_->FolloweesOf(req.uid));
-      case rpc::NavCall::kTweetsOfFollowees:
-        return rows(engine_->TweetsOfFollowees(req.uid));
-      case rpc::NavCall::kHashtagsUsedByFollowees:
-        return rows(engine_->HashtagsUsedByFollowees(req.uid));
-      case rpc::NavCall::kTopCoMentionedUsers:
-        return rows(engine_->TopCoMentionedUsers(req.uid, req.arg));
-      case rpc::NavCall::kTopCoOccurringHashtags:
-        return rows(engine_->TopCoOccurringHashtags(req.tag, req.arg));
-      case rpc::NavCall::kRecommendFolloweesOfFollowees:
-        return rows(engine_->RecommendFolloweesOfFollowees(req.uid, req.arg));
-      case rpc::NavCall::kRecommendFollowersOfFollowees:
-        return rows(engine_->RecommendFollowersOfFollowees(req.uid, req.arg));
-      case rpc::NavCall::kCurrentInfluence:
-        return rows(engine_->CurrentInfluence(req.uid, req.arg));
-      case rpc::NavCall::kPotentialInfluence:
-        return rows(engine_->PotentialInfluence(req.uid, req.arg));
-      case rpc::NavCall::kShortestPathLength: {
-        int64_t length;
-        MBQ_ASSIGN_OR_RETURN(
-            length, engine_->ShortestPathLength(
-                        req.uid, req.arg,
-                        static_cast<uint32_t>(req.max_hops)));
-        return rpc::EncodeIntReply(length);
-      }
-    }
-    return Status::Corruption("rpc: unknown navigation call");
-  }();
-  auto elapsed = std::chrono::duration_cast<std::chrono::microseconds>(
-      std::chrono::steady_clock::now() - start);
-  if (obs::Histogram* hist = CallLatency(req.call)) {
-    hist->Record(static_cast<uint64_t>(elapsed.count()));
-  }
-  return reply;
 }
 
 }  // namespace mbq::core

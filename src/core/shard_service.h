@@ -1,34 +1,29 @@
 #ifndef MBQ_CORE_SHARD_SERVICE_H_
 #define MBQ_CORE_SHARD_SERVICE_H_
 
-#include <functional>
-
 #include "core/engine.h"
 #include "rpc/messages.h"
 
 namespace mbq::core {
 
 /// Server-side dispatch: decodes request frames, invokes a
-/// MicroblogEngine, encodes reply frames. The same service backs both
-/// `mbqd` roles — a shard (engine = local engine over its slice) and the
-/// aggregator (engine = RemoteEngine over N shards) — which is what lets
-/// a client treat the aggregator as just another shard.
+/// MicroblogEngine, encodes reply frames. A kCall is decoded into a
+/// CallSpec and run through core::RunCall, and every call is answered
+/// with kRowsReply (Q6.1: the one row holding the length). The same
+/// service backs both `mbqd` roles — a shard (engine = local engine over
+/// its slice) and the aggregator (engine = RemoteEngine over N shards) —
+/// which is what lets a client treat the aggregator as just another
+/// shard.
 class ShardService {
  public:
-  /// Executes a kQuery request (mini-Cypher). Shards back this with
-  /// their CypherSession; the aggregator backs it with
-  /// RemoteEngine::Query. Null answers kQuery with NotImplemented
-  /// (bitmap shards have no Cypher surface).
-  using QueryFn =
-      std::function<Result<rpc::QueryReply>(const rpc::QueryRequest&)>;
-
   /// `engine` is borrowed and must outlive the service. `info` is what
   /// kHello is answered with.
-  ShardService(MicroblogEngine* engine, rpc::HelloReply info,
-               QueryFn query_fn = nullptr);
+  ShardService(MicroblogEngine* engine, rpc::HelloReply info);
 
   /// The rpc::RpcServer::Handler: every request type in, one reply
-  /// frame out. Errors become kError frames, never exceptions.
+  /// frame out. Errors become kError frames, never exceptions; a type the
+  /// service does not serve (the retired kIntReply, kQuery and
+  /// kQueryReply among them) gets kError(kNotImplemented).
   ///
   /// A kTracedEnvelope request is unwrapped here: the wire context is
   /// adopted for the dispatch (so every span and per-call histogram the
@@ -39,12 +34,10 @@ class ShardService {
 
  private:
   Result<rpc::Frame> Dispatch(const rpc::Frame& request);
-  Result<rpc::Frame> DispatchCall(const rpc::CallRequest& req);
   rpc::Frame HandleEnvelope(const rpc::Frame& request, uint64_t entry_nanos);
 
   MicroblogEngine* engine_;
   rpc::HelloReply info_;
-  QueryFn query_fn_;
 };
 
 }  // namespace mbq::core

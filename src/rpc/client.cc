@@ -167,10 +167,10 @@ Result<Frame> RpcClient::Call(const Frame& request, ShardTiming* timing) {
   // exchange, so the recorded round trip nests correctly; the margin keeps
   // a near-cap inner body from pushing the envelope over kMaxBodyBytes.
   const obs::TraceContext& current = obs::CurrentTraceContext();
-  bool enveloped = peer_accepts_envelopes_ && current.valid() &&
-                   current.sampled &&
-                   request.type != static_cast<uint8_t>(MsgType::kTracedEnvelope) &&
-                   request.body.size() + 64 < kMaxBodyBytes;
+  bool enveloped =
+      current.valid() && current.sampled &&
+      request.type != static_cast<uint8_t>(MsgType::kTracedEnvelope) &&
+      request.body.size() + 64 < kMaxBodyBytes;
   obs::TraceContext client_ctx = current;
   Frame wire_request = request;
   if (enveloped) {
@@ -195,17 +195,6 @@ Result<Frame> RpcClient::Call(const Frame& request, ShardTiming* timing) {
     if (redialed.ok()) {
       metrics.reconnects->Inc();
       reply = Exchange(wire_request);
-    }
-  }
-  if (enveloped && reply.ok() &&
-      reply->type == static_cast<uint8_t>(MsgType::kError)) {
-    Status error = DecodeError(*reply);
-    if (error.IsNotImplemented()) {
-      // An old peer that predates kTracedEnvelope: resend bare and stop
-      // wrapping on this connection.
-      peer_accepts_envelopes_ = false;
-      enveloped = false;
-      reply = Exchange(request);
     }
   }
   uint64_t elapsed_nanos = WallClock().NowNanos() - start_nanos;

@@ -47,8 +47,8 @@ class RpcClient {
   /// and the round trip lands in the span ring as "rpc.client.<type>".
   /// The shard's timing summary from the reply envelope is written to
   /// `*timing` when non-null (zeros when the reply came back bare). A
-  /// peer that rejects envelopes with kNotImplemented gets bare frames
-  /// from then on — mixed-version clusters keep working untraced.
+  /// peer that refuses the envelope answers kError, and the caller gets
+  /// that error.
   Result<Frame> Call(const Frame& request, ShardTiming* timing = nullptr);
 
   /// kPing round-trip.
@@ -73,9 +73,6 @@ class RpcClient {
   /// (the exchange only touches fd_ and lock-free obs counters).
   util::RankedMutex mu_{util::LockRank::kRpc, "rpc.client"};
   int fd_ MBQ_GUARDED_BY(mu_) = -1;
-  /// Cleared the first time the peer answers an envelope with
-  /// kNotImplemented; later calls skip wrapping.
-  bool peer_accepts_envelopes_ MBQ_GUARDED_BY(mu_) = true;
 };
 
 }  // namespace mbq::rpc

@@ -68,27 +68,6 @@ const char* MsgTypeName(uint8_t type) {
   return "kUnknown";
 }
 
-const char* NavCallName(NavCall call) {
-  switch (call) {
-    case NavCall::kSelectUsersByFollowerCount:
-      return "select_users_by_follower_count";
-    case NavCall::kFolloweesOf: return "followees_of";
-    case NavCall::kTweetsOfFollowees: return "tweets_of_followees";
-    case NavCall::kHashtagsUsedByFollowees:
-      return "hashtags_used_by_followees";
-    case NavCall::kTopCoMentionedUsers: return "top_co_mentioned_users";
-    case NavCall::kTopCoOccurringHashtags: return "top_co_occurring_hashtags";
-    case NavCall::kRecommendFolloweesOfFollowees:
-      return "recommend_followees_of_followees";
-    case NavCall::kRecommendFollowersOfFollowees:
-      return "recommend_followers_of_followees";
-    case NavCall::kCurrentInfluence: return "current_influence";
-    case NavCall::kPotentialInfluence: return "potential_influence";
-    case NavCall::kShortestPathLength: return "shortest_path_length";
-  }
-  return "unknown";
-}
-
 Frame EmptyFrame(MsgType type) {
   Frame frame;
   frame.type = static_cast<uint8_t>(type);
@@ -155,66 +134,6 @@ Result<ValueRows> DecodeRowsReply(const Frame& frame) {
   MBQ_RETURN_IF_ERROR(CheckType(frame, MsgType::kRowsReply));
   size_t offset = 0;
   return GetRows(frame.body, &offset);
-}
-
-Frame EncodeIntReply(int64_t value) {
-  Frame frame = EmptyFrame(MsgType::kIntReply);
-  PutI64(&frame.body, value);
-  return frame;
-}
-
-Result<int64_t> DecodeIntReply(const Frame& frame) {
-  MBQ_RETURN_IF_ERROR(CheckType(frame, MsgType::kIntReply));
-  size_t offset = 0;
-  return GetI64(frame.body, &offset);
-}
-
-Frame EncodeQuery(const QueryRequest& req) {
-  Frame frame = EmptyFrame(MsgType::kQuery);
-  PutString(&frame.body, req.text);
-  PutU8(&frame.body, static_cast<uint8_t>(req.merge));
-  PutU32(&frame.body, req.route_shard);
-  return frame;
-}
-
-Result<QueryRequest> DecodeQuery(const Frame& frame) {
-  MBQ_RETURN_IF_ERROR(CheckType(frame, MsgType::kQuery));
-  QueryRequest req;
-  size_t offset = 0;
-  MBQ_ASSIGN_OR_RETURN(req.text, GetString(frame.body, &offset));
-  uint8_t merge;
-  MBQ_ASSIGN_OR_RETURN(merge, GetU8(frame.body, &offset));
-  if (merge < 1 || merge > 3) {
-    return Status::Corruption("rpc: unknown query merge mode " +
-                              std::to_string(static_cast<int>(merge)));
-  }
-  req.merge = static_cast<QueryMerge>(merge);
-  MBQ_ASSIGN_OR_RETURN(req.route_shard, GetU32(frame.body, &offset));
-  return req;
-}
-
-Frame EncodeQueryReply(const QueryReply& reply) {
-  Frame frame = EmptyFrame(MsgType::kQueryReply);
-  PutU32(&frame.body, static_cast<uint32_t>(reply.columns.size()));
-  for (const std::string& col : reply.columns) PutString(&frame.body, col);
-  PutRows(&frame.body, reply.rows);
-  return frame;
-}
-
-Result<QueryReply> DecodeQueryReply(const Frame& frame) {
-  MBQ_RETURN_IF_ERROR(CheckType(frame, MsgType::kQueryReply));
-  QueryReply reply;
-  size_t offset = 0;
-  uint32_t num_cols;
-  MBQ_ASSIGN_OR_RETURN(num_cols, GetU32(frame.body, &offset));
-  reply.columns.reserve(num_cols);
-  for (uint32_t i = 0; i < num_cols; ++i) {
-    std::string col;
-    MBQ_ASSIGN_OR_RETURN(col, GetString(frame.body, &offset));
-    reply.columns.push_back(std::move(col));
-  }
-  MBQ_ASSIGN_OR_RETURN(reply.rows, GetRows(frame.body, &offset));
-  return reply;
 }
 
 Frame EncodeError(const Status& status) {

@@ -11,21 +11,21 @@
 
 namespace mbq::rpc {
 
-/// Row type carried by kRowsReply / kQueryReply. Identical layout to
-/// core::ValueRows, so engine results cross the wire without conversion.
+/// Row type carried by kRowsReply. Identical layout to core::ValueRows,
+/// so engine results cross the wire without conversion.
 using ValueRows = std::vector<std::vector<common::Value>>;
 
 /// Every message type of protocol version 1. The numeric values are the
-/// wire encoding (frame header byte 5) and must never be reused; new
-/// types append. Documented in docs/CLUSTER.md.
+/// wire encoding (frame header byte 5) and must never be reused, retired
+/// ones included; new types append. Documented in docs/CLUSTER.md.
 enum class MsgType : uint8_t {
   kHello = 1,       ///< client -> server: identify the peer, no body
   kHelloReply = 2,  ///< server -> client: shard topology + engine info
   kCall = 3,        ///< client -> server: one Table 2 navigation call
-  kRowsReply = 4,   ///< server -> client: ValueRows result
-  kIntReply = 5,    ///< server -> client: int64 result (Q6.1)
-  kQuery = 6,       ///< client -> server: mini-Cypher text + merge mode
-  kQueryReply = 7,  ///< server -> client: columns + ValueRows
+  kRowsReply = 4,   ///< server -> client: ValueRows result of every kCall
+  kIntReply = 5,    ///< retired: never sent; servers refuse it
+  kQuery = 6,       ///< retired: never sent; servers refuse it
+  kQueryReply = 7,  ///< retired: never sent; servers refuse it
   kError = 8,       ///< server -> client: Status code + message
   kPing = 9,        ///< client -> server: liveness probe, no body
   kPong = 10,       ///< server -> client: liveness answer, no body
@@ -39,8 +39,7 @@ enum class MsgType : uint8_t {
   /// Distributed-tracing envelope: a TraceContext plus one complete
   /// inner frame of any other type (docs/CLUSTER.md has the layout).
   /// Requests wrapped in an envelope get their reply wrapped too, with a
-  /// per-shard timing summary; peers that predate the type answer
-  /// kError(kNotImplemented) and the client falls back to bare frames.
+  /// per-shard timing summary.
   kTracedEnvelope = 14,
 };
 
@@ -50,7 +49,8 @@ const char* MsgTypeName(uint8_t type);
 
 /// The eleven Table 2 navigation calls a kCall frame can request. The
 /// numeric values are the wire encoding; same append-only rule as
-/// MsgType.
+/// MsgType. core::EncodeCallSpec and DecodeCallSpec map them to and from
+/// core::CallSpec.
 enum class NavCall : uint8_t {
   kSelectUsersByFollowerCount = 1,   // Q1.1  (uid = threshold)
   kFolloweesOf = 2,                  // Q2.1
@@ -64,10 +64,6 @@ enum class NavCall : uint8_t {
   kPotentialInfluence = 10,          // Q5.2  (arg = n)
   kShortestPathLength = 11,          // Q6.1  (uid, arg = uid_b, max_hops)
 };
-
-/// Short stable name for a navigation call ("followees_of", ...), used
-/// as the per-call latency metric component (rpc.call.<name>.latency).
-const char* NavCallName(NavCall call);
 
 /// kHelloReply body: how a server describes itself. The aggregator
 /// presents itself as a single unpartitioned shard so any client —
@@ -88,28 +84,6 @@ struct CallRequest {
   int64_t arg = 0;      ///< top-n limit, or Q6.1 uid_b
   uint32_t max_hops = 0;///< Q6.1 only
   std::string tag;      ///< Q3.2 only
-};
-
-/// How the aggregator (or any fan-out client) should combine per-shard
-/// results of a kQuery. Carried on the wire so `mbqd --aggregate` does
-/// not need to parse the query text.
-enum class QueryMerge : uint8_t {
-  kRoute = 1,    ///< send to one shard, pass the reply through
-  kConcat = 2,   ///< fan out, concatenate rows
-  kDistinct = 3, ///< fan out, concatenate then sort + deduplicate
-};
-
-/// kQuery body: mini-Cypher text executed by the shard's CypherSession.
-struct QueryRequest {
-  std::string text;
-  QueryMerge merge = QueryMerge::kConcat;
-  uint32_t route_shard = 0;  ///< target shard for kRoute
-};
-
-/// kQueryReply body.
-struct QueryReply {
-  std::vector<std::string> columns;
-  ValueRows rows;
 };
 
 /// Where a request's time went inside one shard, carried back to the
@@ -146,9 +120,6 @@ Frame EmptyFrame(MsgType type);
 Frame EncodeHelloReply(const HelloReply& reply);
 Frame EncodeCall(const CallRequest& req);
 Frame EncodeRowsReply(const ValueRows& rows);
-Frame EncodeIntReply(int64_t value);
-Frame EncodeQuery(const QueryRequest& req);
-Frame EncodeQueryReply(const QueryReply& reply);
 /// kError body: u8 StatusCode + message string. `status` must be non-OK.
 Frame EncodeError(const Status& status);
 /// The envelope's inner frame must itself not be an envelope (one level
@@ -162,9 +133,6 @@ Frame EncodeTracedEnvelope(const TracedEnvelope& env);
 Result<HelloReply> DecodeHelloReply(const Frame& frame);
 Result<CallRequest> DecodeCall(const Frame& frame);
 Result<ValueRows> DecodeRowsReply(const Frame& frame);
-Result<int64_t> DecodeIntReply(const Frame& frame);
-Result<QueryRequest> DecodeQuery(const Frame& frame);
-Result<QueryReply> DecodeQueryReply(const Frame& frame);
 /// Reconstructs the Status carried by a kError frame (always non-OK).
 Status DecodeError(const Frame& frame);
 Result<TracedEnvelope> DecodeTracedEnvelope(const Frame& frame);

@@ -90,6 +90,98 @@ TEST(Partitioner, SliceCoversActivityExactlyOnce) {
   EXPECT_EQ(full.tags.size(), tag_edges);
 }
 
+// ------------------------------------------------------ the serving plane
+
+/// Every read kind's kCall body, as docs/CLUSTER.md lays it out: call
+/// value kind + 1 and only the fields that call uses, the rest zero. The
+/// body decodes back to the same call.
+TEST(CallSpecCodec, BodiesFollowTheDocumentedLayout) {
+  auto spec_of = [](CallKind kind) {
+    CallSpec spec;
+    spec.kind = kind;
+    spec.a = 7;
+    spec.b = 9;
+    spec.n = 5;
+    spec.threshold = 3;
+    spec.max_hops = 4;
+    spec.tag = "t";
+    return spec;
+  };
+  using rpc::NavCall;
+  const std::vector<std::pair<CallKind, rpc::CallRequest>> cases = {
+      {CallKind::kSelectUsers,
+       {NavCall::kSelectUsersByFollowerCount, 3, 0, 0, ""}},
+      {CallKind::kFollowees, {NavCall::kFolloweesOf, 7, 0, 0, ""}},
+      {CallKind::kTweetsOfFollowees,
+       {NavCall::kTweetsOfFollowees, 7, 0, 0, ""}},
+      {CallKind::kHashtagsOfFollowees,
+       {NavCall::kHashtagsUsedByFollowees, 7, 0, 0, ""}},
+      {CallKind::kTopCoMentioned, {NavCall::kTopCoMentionedUsers, 7, 5, 0, ""}},
+      {CallKind::kTopCoTags, {NavCall::kTopCoOccurringHashtags, 0, 5, 0, "t"}},
+      {CallKind::kRecFollowees,
+       {NavCall::kRecommendFolloweesOfFollowees, 7, 5, 0, ""}},
+      {CallKind::kRecFollowers,
+       {NavCall::kRecommendFollowersOfFollowees, 7, 5, 0, ""}},
+      {CallKind::kCurrentInfluence, {NavCall::kCurrentInfluence, 7, 5, 0, ""}},
+      {CallKind::kPotentialInfluence,
+       {NavCall::kPotentialInfluence, 7, 5, 0, ""}},
+      {CallKind::kShortestPath, {NavCall::kShortestPathLength, 7, 9, 4, ""}},
+  };
+  for (const auto& [kind, want] : cases) {
+    SCOPED_TRACE(CallKindName(kind));
+    rpc::Frame frame = EncodeCallSpec(spec_of(kind));
+    EXPECT_EQ(rpc::EncodeCall(want).body, frame.body);
+    Result<CallSpec> back = DecodeCallSpec(frame);
+    ASSERT_TRUE(back.ok()) << back.status().ToString();
+    EXPECT_EQ(kind, back->kind);
+    EXPECT_EQ(CallSpecToString(spec_of(kind)), CallSpecToString(*back));
+  }
+}
+
+/// A shard refuses the retired message types as it refuses any type it
+/// does not serve, still finds a call value outside 1-11 corrupt, and
+/// answers Q6.1 as RunCall does: one row holding the length.
+TEST(ShardServiceTest, RetiredTypesAndUnknownCallsAreRefused) {
+  DatasetSpec spec;
+  spec.num_users = 60;
+  spec.seed = 3;
+  Dataset full = twitter::GenerateDataset(spec);
+  nodestore::GraphDbOptions ndb;
+  ndb.disk_profile = storage::DiskProfile::Instant();
+  nodestore::GraphDb db(ndb);
+  ASSERT_TRUE(twitter::LoadIntoNodestore(full, &db).ok());
+  EngineOptions options;
+  options.db = &db;
+  auto engine = OpenEngine(EngineKind::kNodestore, options);
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  ShardService service(engine->get(), rpc::HelloReply{});
+
+  for (rpc::MsgType type : {rpc::MsgType::kIntReply, rpc::MsgType::kQuery,
+                            rpc::MsgType::kQueryReply}) {
+    Status refused = rpc::DecodeError(service.Handle(rpc::EmptyFrame(type)));
+    EXPECT_TRUE(refused.IsNotImplemented())
+        << rpc::MsgTypeName(static_cast<uint8_t>(type)) << ": "
+        << refused.ToString();
+  }
+  for (int call : {0, 12}) {
+    rpc::CallRequest req;
+    req.call = static_cast<rpc::NavCall>(call);
+    Status refused = rpc::DecodeError(service.Handle(rpc::EncodeCall(req)));
+    EXPECT_TRUE(refused.IsCorruption()) << call << ": " << refused.ToString();
+  }
+
+  CallSpec path;
+  path.kind = CallKind::kShortestPath;
+  path.a = 0;
+  path.b = 1;
+  Result<ValueRows> want = RunCall(**engine, path);
+  ASSERT_TRUE(want.ok()) << want.status().ToString();
+  Result<ValueRows> got =
+      rpc::DecodeRowsReply(service.Handle(EncodeCallSpec(path)));
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_EQ(*want, *got);
+}
+
 // -------------------------------------------------------------- cluster
 
 /// One in-process shard: slice, stores, engine, service, RPC server.

@@ -212,28 +212,8 @@ TEST(Messages, ErrorRoundTripPreservesCodeAndMessage) {
   EXPECT_EQ(status.message(), back.message());
 }
 
-TEST(Messages, QueryRoundTrip) {
-  QueryRequest req;
-  req.text = "MATCH (u:user) RETURN u.uid";
-  req.merge = QueryMerge::kDistinct;
-  req.route_shard = 2;
-  Result<QueryRequest> back = DecodeQuery(EncodeQuery(req));
-  ASSERT_TRUE(back.ok());
-  EXPECT_EQ(req.text, back->text);
-  EXPECT_EQ(req.merge, back->merge);
-  EXPECT_EQ(req.route_shard, back->route_shard);
-
-  QueryReply reply;
-  reply.columns = {"uid", "name"};
-  reply.rows.push_back({Value::Int(1), Value::String("user_1")});
-  Result<QueryReply> reply_back = DecodeQueryReply(EncodeQueryReply(reply));
-  ASSERT_TRUE(reply_back.ok());
-  EXPECT_EQ(reply.columns, reply_back->columns);
-  EXPECT_EQ(reply.rows, reply_back->rows);
-}
-
 TEST(Messages, DecodeChecksFrameType) {
-  Frame frame = EncodeIntReply(5);
+  Frame frame = EncodeHelloReply(HelloReply{});
   EXPECT_TRUE(DecodeRowsReply(frame).status().IsCorruption());
   // An error frame surfaces as the carried status, not a type mismatch.
   Frame error = EncodeError(Status::Aborted("shard shutting down"));

@@ -44,11 +44,9 @@
 
 #include "bitmapstore/graph.h"
 #include "core/engine.h"
-#include "core/nodestore_engine.h"
 #include "core/partition.h"
 #include "core/remote_engine.h"
 #include "core/shard_service.h"
-#include "cypher/session.h"
 #include "nodestore/graph_db.h"
 #include "obs/http_client.h"
 #include "obs/httpd.h"
@@ -266,39 +264,7 @@ int RunShard(const Args& args) {
   info.num_users = args.users;
   info.engine = (*engine)->name();
 
-  // Nodestore shards expose their CypherSession for remote mini-Cypher;
-  // bitmap shards answer kQuery with NotImplemented.
-  ShardService::QueryFn query_fn;
-  if (args.engine == "nodestore") {
-    auto* ns = static_cast<NodestoreEngine*>(engine->get());
-    query_fn = [ns](const rpc::QueryRequest& req)
-        -> Result<rpc::QueryReply> {
-      cypher::QueryResult result;
-      MBQ_ASSIGN_OR_RETURN(result, ns->session().Run(req.text));
-      rpc::QueryReply reply;
-      reply.columns = std::move(result.columns);
-      reply.rows.reserve(result.rows.size());
-      for (const cypher::Row& row : result.rows) {
-        std::vector<common::Value> out;
-        out.reserve(row.size());
-        for (const cypher::RtValue& v : row) {
-          // Scalars cross the wire typed; nodes/rels/paths carry
-          // shard-local ids, so they are rendered to display strings.
-          if (v.kind == cypher::RtValue::Kind::kValue) {
-            out.push_back(v.value);
-          } else if (v.kind == cypher::RtValue::Kind::kNull) {
-            out.push_back(common::Value::Null());
-          } else {
-            out.push_back(common::Value::String(v.ToString()));
-          }
-        }
-        reply.rows.push_back(std::move(out));
-      }
-      return reply;
-    };
-  }
-
-  ShardService service(engine->get(), info, std::move(query_fn));
+  ShardService service(engine->get(), info);
   rpc::RpcServer::Options server_options;
   server_options.port = args.port;
   Result<std::unique_ptr<rpc::RpcServer>> server = rpc::RpcServer::Start(
@@ -356,9 +322,7 @@ int RunAggregator(const Args& args) {
   info.num_users = remote->partitioner().num_users();
   info.engine = "aggregator(" + std::to_string(remote->num_shards()) + ")";
 
-  ShardService service(
-      engine->get(), info,
-      [remote](const rpc::QueryRequest& req) { return remote->Query(req); });
+  ShardService service(engine->get(), info);
   rpc::RpcServer::Options server_options;
   server_options.port = args.port;
   Result<std::unique_ptr<rpc::RpcServer>> server = rpc::RpcServer::Start(
