@@ -19,11 +19,11 @@
 # cache, accountant, fault injection and the pinned modelled I/O) with
 # CYPHER_THREADS=4 so the morsel-parallel paths engage. A full-suite
 # TSan run works too but is several times slower. The TSan pass
-# finishes with the cluster, driver and trace smokes, all running under
-# the sanitizer: real mbqd shard + aggregator processes on loopback,
-# verified and driven by two concurrent mbqbench clients
-# (scripts/cluster_local.sh, scripts/trace_smoke.sh), and the local
-# open-loop driver (scripts/driver_smoke.sh).
+# finishes with the cluster and driver smokes, all running under the
+# sanitizer: real mbqd shard + aggregator processes on loopback,
+# verified, driven by two concurrent mbqbench clients and traced
+# (scripts/cluster_local.sh), and the local open-loop driver
+# (scripts/driver_smoke.sh).
 set -eu
 
 repo_root="$(cd "$(dirname "$0")/.." && pwd)"
@@ -64,16 +64,11 @@ TSAN_OPTIONS="halt_on_error=1" \
 echo "== cluster smoke (2 shards + aggregator, TSan binaries) =="
 TSAN_OPTIONS="halt_on_error=1" \
   scripts/cluster_local.sh build-tsan/tools/mbqd build-tsan/tools/mbqbench \
-  2 400
+  build-tsan/tools/mbqtrace build-tsan/tools/mbqtop 2 400
 
 echo "== driver smoke (open-loop load driver, TSan binary) =="
 TSAN_OPTIONS="halt_on_error=1" \
   scripts/driver_smoke.sh build-tsan/tools/mbqbench
-
-echo "== trace smoke (stitched cross-process trace, TSan binaries) =="
-TSAN_OPTIONS="halt_on_error=1" \
-  scripts/trace_smoke.sh build-tsan/tools/mbqd build-tsan/tools/mbqbench \
-  build-tsan/tools/mbqtrace build-tsan/tools/mbqtop
 
 if [ "$run_asan" -eq 1 ]; then
   echo "== AddressSanitizer build (build-asan/) =="

@@ -2,7 +2,7 @@
 // (src/obs/trace_context.*), the kTracedEnvelope wire frame
 // (src/rpc/messages.*) and span tagging in the recorder ring
 // (src/obs/introspect.*). The cross-process stitch itself is exercised
-// by scripts/trace_smoke.sh against real daemons.
+// by scripts/cluster_local.sh against real daemons.
 
 #include <gtest/gtest.h>
 

@@ -16,7 +16,7 @@
 // matching in the Perfetto UI.
 //
 // --require-processes=N exits non-zero unless the chosen trace has
-// spans from at least N distinct processes — the trace-smoke gate.
+// spans from at least N distinct processes — the cluster-smoke gate.
 //
 // Exit status: 0 success, 1 stitch assertion failed, 2 usage/fetch
 // error.
