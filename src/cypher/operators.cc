@@ -559,6 +559,11 @@ Status Aggregate::MergeFrom(Aggregate* other) {
 }
 
 Status Aggregate::FinalizeGroups() {
+  // Without grouping keys the whole input is one group, even when it is
+  // empty: one row with count 0, sum 0 and min/max/avg null.
+  if (group_exprs_.empty() && groups_.empty()) {
+    groups_[Row{}].aggs.resize(aggs_.size());
+  }
   for (auto& [keys, state] : groups_) {
     Row out = state.keys;
     for (size_t a = 0; a < aggs_.size(); ++a) {

@@ -314,7 +314,9 @@ class ShortestPathOp : public Operator {
 };
 
 /// Grouped aggregation (pipeline breaker). Output rows are
-/// [group keys..., aggregate values...]. When the ExecContext carries a
+/// [group keys..., aggregate values...]; without grouping keys there is
+/// exactly one output row, also over no input rows. When the ExecContext
+/// carries a
 /// thread pool and the input chain is a parallelizable pipeline (scans,
 /// expands and filters only), Materialize fans the input out over worker
 /// threads and merges the partial groups (see cypher/parallel.h).

@@ -677,6 +677,38 @@ TEST_F(CypherAggregateTest, SumDistinct) {
   EXPECT_EQ(distinct->rows[0][0].value.AsInt(), 10);
 }
 
+TEST_F(CypherAggregateTest, GroupingFreeAggregateOverNoRowsAnswersOneRow) {
+  // The anchored form seeds from an index seek; the scan form fans out
+  // over the morsel-parallel path when the session has threads.
+  const std::string no_rows[] = {
+      "MATCH (u:user {uid: 99999})-[:follows]->(f:user) ",
+      "MATCH (u:user)-[:follows]->(f:user) WHERE f.uid > 99 ",
+  };
+  for (uint32_t threads : {1u, 4u}) {
+    session_->SetThreads(threads);
+    for (const std::string& match : no_rows) {
+      SCOPED_TRACE(match + "at " + std::to_string(threads) + " threads");
+      auto r = Run(match +
+                   "RETURN count(f), count(*), count(DISTINCT f), sum(f.uid), "
+                   "min(f.uid), max(f.uid), avg(f.uid)");
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+      ASSERT_EQ(r->rows.size(), 1u);
+      const Row& row = r->rows[0];
+      EXPECT_EQ(row[0].value.AsInt(), 0);
+      EXPECT_EQ(row[1].value.AsInt(), 0);
+      EXPECT_EQ(row[2].value.AsInt(), 0);
+      EXPECT_EQ(row[3].value.AsInt(), 0);
+      EXPECT_TRUE(row[4].is_null());
+      EXPECT_TRUE(row[5].is_null());
+      EXPECT_TRUE(row[6].is_null());
+      // Grouped, the same empty input answers no rows.
+      auto grouped = Run(match + "RETURN u.uid, count(f)");
+      ASSERT_TRUE(grouped.ok()) << grouped.status().ToString();
+      EXPECT_TRUE(grouped->rows.empty());
+    }
+  }
+}
+
 TEST_F(CypherAggregateTest, SumOverStringsFails) {
   auto r = Run("MATCH (u:user) RETURN sum(u.name)");
   EXPECT_FALSE(r.ok());
