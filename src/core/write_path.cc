@@ -111,7 +111,8 @@ Status EngineWriter::Commit(store::WriteBatch batch) {
   // Fresh tweet ids are assigned before logging so the WAL record carries
   // the concrete id and replay regenerates the identical graph.
   for (store::WriteOp& op : batch.mutable_ops()) {
-    if (op.kind == store::WriteOpKind::kPostTweet && op.b == 0) {
+    if (op.kind == store::WriteOpKind::kPostTweet &&
+        op.b == store::kUnassignedTid) {
       op.b = next_tid_.fetch_add(1, std::memory_order_relaxed);
     }
   }

@@ -40,7 +40,9 @@ const char* KeyProperty(NodeKind kind) {
 struct Endpoint {
   NodeKind kind = NodeKind::kUser;
   int64_t id = 0;       ///< uid or tid
-  bool has_id = true;   ///< false for a new tweet the query gave no tid
+  /// False for a new tweet the query gave no tid; its id is then
+  /// store::kUnassignedTid, which the commit path replaces.
+  bool has_id = true;
   std::string tag;      ///< a hashtag's tag
   std::string text;     ///< a new tweet's text
 };
@@ -300,6 +302,7 @@ class Lowering {
     Endpoint made;
     made.kind = *KindOfLabel(node.label);
     made.has_id = made.kind != NodeKind::kTweet;
+    if (!made.has_id) made.id = store::kUnassignedTid;
     for (const auto& [key, expr] : node.properties) {
       MBQ_ASSIGN_OR_RETURN(RtValue v, EvalExpr(*expr, row, slots_, ctx_));
       const bool is_string = key == "tag" || key == "text";

@@ -19,7 +19,8 @@ namespace mbq::store {
 /// records persist these values, so they are append-only (pinned in
 /// scripts/rpc_wire.lock).
 enum class WriteOpKind : uint8_t {
-  kPostTweet = 1,   ///< a = poster uid, b = tweet id (0 until assigned)
+  kPostTweet = 1,   ///< a = poster uid, b = tweet id (kUnassignedTid
+                    ///< until the commit path assigns one)
   kFollow = 2,      ///< a = follower uid, b = followee uid
   kUnfollow = 3,    ///< a = follower uid, b = followee uid (tombstone)
   kAddMention = 4,  ///< a = tweet id, b = mentioned uid
@@ -27,6 +28,11 @@ enum class WriteOpKind : uint8_t {
   kTagTweet = 6,    ///< a = tweet id, text = hashtag (created on first use)
   kRetweetOf = 7,   ///< a = retweeting tweet id, b = original tweet id
 };
+
+/// The tweet id of a kPostTweet op that asks the commit path for a fresh
+/// one. No tweet has it, so a tid the caller chose (0 included) commits
+/// as given or fails like any other write.
+inline constexpr int64_t kUnassignedTid = -1;
 
 struct WriteOp {
   WriteOpKind kind = WriteOpKind::kFollow;
@@ -49,7 +55,8 @@ struct WriteOp {
 class WriteBatch {
  public:
   WriteBatch& PostTweet(int64_t uid, std::string text = std::string()) {
-    ops_.push_back({WriteOpKind::kPostTweet, uid, 0, std::move(text)});
+    ops_.push_back(
+        {WriteOpKind::kPostTweet, uid, kUnassignedTid, std::move(text)});
     return *this;
   }
   WriteBatch& Follow(int64_t src_uid, int64_t dst_uid) {

@@ -921,6 +921,44 @@ TEST_F(CypherWriteTest, EachOpKindLowersToTheHandBuiltBatch) {
   }
 }
 
+/// A tid the caller gives is the caller's, 0 included: one the store
+/// already holds fails AlreadyExists, through Cypher and through a raw
+/// batch, and nothing commits. Only a tweet given no tid gets a fresh one.
+TEST_F(CypherWriteTest, ExplicitTidZeroIsRefusedNotReplaced) {
+  Dataset dataset = SmallDataset(155);
+  ASSERT_FALSE(dataset.tweets.empty());
+  ASSERT_EQ(dataset.tweets[0].tid, 0);
+  auto ns = OpenWritable(EngineKind::kNodestore, dataset, wal_dir());
+  auto bm = OpenWritable(EngineKind::kBitmap, dataset);
+  for (WritableFixture* fx : {ns.get(), bm.get()}) {
+    WritableEngine* w = fx->writer();
+    ASSERT_NE(w, nullptr);
+    const int64_t next_tid = w->next_tid();
+    store::WriteBatch raw;
+    raw.Append({store::WriteOpKind::kPostTweet, 7, 0, "zero"});
+    Status committed = w->Commit(std::move(raw));
+    EXPECT_TRUE(committed.IsAlreadyExists()) << committed.ToString();
+    EXPECT_EQ(w->delta().batches(), 0u);
+    EXPECT_EQ(w->next_tid(), next_tid);
+  }
+
+  WritableEngine* w = ns->writer();
+  const int64_t next_tid = w->next_tid();
+  auto zero = Session(*ns).Run(
+      "MATCH (u:user {uid: 7}) "
+      "CREATE (u)-[:posts]->(:tweet {tid: 0, text: 'zero'})");
+  ASSERT_FALSE(zero.ok());
+  EXPECT_TRUE(zero.status().IsAlreadyExists()) << zero.status().ToString();
+  EXPECT_EQ(w->delta().batches(), 0u);
+  EXPECT_EQ(w->next_tid(), next_tid);
+
+  auto fresh = Session(*ns).Run(
+      "MATCH (u:user {uid: 7}) CREATE (u)-[:posts]->(:tweet {text: 'fresh'})");
+  ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
+  EXPECT_EQ(w->delta().batches(), 1u);
+  EXPECT_EQ(w->next_tid(), next_tid + 1);
+}
+
 TEST_F(CypherWriteTest, UnloweredWritesFailBeforeAnythingCommits) {
   auto fx = OpenWritable(EngineKind::kNodestore, SmallDataset(154));
   ASSERT_NE(fx->writer(), nullptr);
