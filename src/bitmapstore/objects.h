@@ -89,23 +89,6 @@ class Objects {
     return bitmap_ == other.bitmap_;
   }
 
-  /// Iterator in ascending oid order (Sparksee's ObjectsIterator).
-  class Iterator {
-   public:
-    explicit Iterator(const Objects& objects) : it_(objects.bitmap_) {}
-    bool HasNext() const { return it_.Valid(); }
-    Oid Next() {
-      Oid v = it_.Value();
-      it_.Next();
-      return v;
-    }
-
-   private:
-    Bitmap::Iterator it_;
-  };
-
-  Iterator Iterate() const { return Iterator(*this); }
-
   template <typename Fn>
   void ForEach(Fn&& fn) const {
     bitmap_.ForEach(std::forward<Fn>(fn));

@@ -7,23 +7,6 @@ std::string SourceSpan::ToString() const {
   return "line " + std::to_string(line) + ", column " + std::to_string(column);
 }
 
-SourceSpan SpanAt(const std::string& text, size_t offset) {
-  SourceSpan span;
-  span.offset = offset;
-  span.line = 1;
-  span.column = 1;
-  size_t end = offset < text.size() ? offset : text.size();
-  for (size_t i = 0; i < end; ++i) {
-    if (text[i] == '\n') {
-      ++span.line;
-      span.column = 1;
-    } else {
-      ++span.column;
-    }
-  }
-  return span;
-}
-
 const char* SeverityName(Severity severity) {
   switch (severity) {
     case Severity::kHint:

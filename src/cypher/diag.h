@@ -21,9 +21,6 @@ struct SourceSpan {
   std::string ToString() const;
 };
 
-/// Computes the 1-based line/column of byte `offset` in `text`.
-SourceSpan SpanAt(const std::string& text, size_t offset);
-
 /// Diagnostic severity, ordered from mildest to most severe.
 enum class Severity : uint8_t { kHint = 0, kWarning = 1, kError = 2 };
 

@@ -85,7 +85,6 @@ class Operator {
   /// Next() wrapped with rows/db-hit accounting. The session calls this
   /// on the root; operators call it on their children via ChildNext.
   Result<bool> NextTracked(Row* out);
-  void SetChild(std::unique_ptr<Operator> child) { child_ = std::move(child); }
 };
 
 /// Emits one empty row (the start of an expansion pipeline with no scan).

@@ -193,10 +193,6 @@ class CypherSession {
     if (adj_cache_ != nullptr) adj_cache_->Clear();
   }
 
-  /// The adjacency cache instance (null when disabled) — shared with
-  /// embedders that expand outside the session.
-  cache::AdjacencyCache* adjacency_cache() { return adj_cache_.get(); }
-
   /// Attaches the engine's live write path (docs/WRITES.md); the
   /// engine's EnableWrites does this at open time, before any query.
   /// Read queries then execute under a shared snapshot of `snapshots`

@@ -692,41 +692,11 @@ Status GraphDb::SetNodeProperty(NodeId node, PropKeyId key,
   return Status::OK();
 }
 
-Status GraphDb::SetRelProperty(RelId rel, PropKeyId key, const Value& value) {
-  MBQ_ASSIGN_OR_RETURN(RelRecord rec, GetRel(rel));
-  if (!rec.in_use) return Status::NotFound("relationship not in use");
-  epochs_.Bump(cache::RelTypeDomain(rec.type));
-  RecordId first = rec.first_prop;
-  MBQ_RETURN_IF_ERROR(WritePropertyChain(&first, key, value));
-  if (first != rec.first_prop) {
-    rec.first_prop = first;
-    MBQ_RETURN_IF_ERROR(PutRel(rel, rec));
-  }
-  return Status::OK();
-}
-
 // ------------------------------------------------------------------- Reads
 
 bool GraphDb::NodeExists(NodeId node) {
   if (node >= node_store_->high_id()) return false;
   auto rec = node_store_->Get<NodeRecord>(node);
-  return rec.ok() && rec->in_use;
-}
-
-bool GraphDb::RelExists(RelId rel) {
-  if (options_.semantic_partitioning) {
-    uint64_t partition = (rel >> 48);
-    if (partition == 0 || partition - 1 >= typed_rel_stores_.size()) {
-      return false;
-    }
-    if ((rel & kRelLocalMask) >=
-        typed_rel_stores_[partition - 1]->high_id()) {
-      return false;
-    }
-  } else if (rel >= rel_store_->high_id()) {
-    return false;
-  }
-  auto rec = GetRel(rel);
   return rec.ok() && rec->in_use;
 }
 
@@ -1021,19 +991,6 @@ Result<NodeRecord> GraphDb::RawNodeRecord(NodeId id) {
     return Status::OutOfRange("node id beyond store high id");
   }
   return node_store_->Get<NodeRecord>(id);
-}
-
-Result<RelRecord> GraphDb::RawRelRecord(RelId id) {
-  if (options_.semantic_partitioning) {
-    uint64_t partition = id >> 48;
-    if (partition == 0 || partition - 1 >= typed_rel_stores_.size() ||
-        (id & kRelLocalMask) >= typed_rel_stores_[partition - 1]->high_id()) {
-      return Status::OutOfRange("rel id beyond store high id");
-    }
-  } else if (id >= rel_store_->high_id()) {
-    return Status::OutOfRange("rel id beyond store high id");
-  }
-  return GetRel(id);
 }
 
 Status GraphDb::RawPutRelRecord(RelId id, const RelRecord& rec) {

@@ -99,7 +99,6 @@ class GraphDb {
   Result<RelId> CreateRelationship(RelTypeId type, NodeId src, NodeId dst);
   /// Sets (or clears, when `value` is null) a node property.
   Status SetNodeProperty(NodeId node, PropKeyId key, const Value& value);
-  Status SetRelProperty(RelId rel, PropKeyId key, const Value& value);
   /// Deletes a relationship, unlinking both chains.
   Status DeleteRelationship(RelId rel);
   /// Deletes a node; fails (FailedPrecondition) if relationships remain,
@@ -111,7 +110,6 @@ class GraphDb {
   // --------------------------------------------------------------- Reads
   /// True if `node` is allocated and in use.
   bool NodeExists(NodeId node);
-  bool RelExists(RelId rel);
   Result<LabelId> NodeLabel(NodeId node);
   Result<Value> GetNodeProperty(NodeId node, PropKeyId key);
   Result<Value> GetRelProperty(RelId rel, PropKeyId key);
@@ -239,7 +237,6 @@ class GraphDb {
   /// unpartitioned, one per typed store under semantic partitioning.
   std::vector<RecordId> RelHighIds() const;
   Result<NodeRecord> RawNodeRecord(NodeId id);
-  Result<RelRecord> RawRelRecord(RelId id);
   /// Overwrites a relationship record verbatim (fault injection).
   Status RawPutRelRecord(RelId id, const RelRecord& rec);
   /// Iterates every allocated relationship slot (in-use or freed) across

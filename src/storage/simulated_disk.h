@@ -30,11 +30,6 @@ struct DiskProfile {
   /// sequential and skip the seek charge.
   uint64_t sequential_window = 16;
 
-  /// An SSD-like profile (used by tests that want I/O cost out of the way).
-  static DiskProfile Fast() {
-    return DiskProfile{/*seek_nanos=*/20'000, /*read_page_nanos=*/4'000,
-                       /*write_page_nanos=*/6'000, /*sequential_window=*/512};
-  }
   /// Zero-latency profile for pure-logic tests.
   static DiskProfile Instant() { return DiskProfile{0, 0, 0, 1}; }
 };

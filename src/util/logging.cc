@@ -6,7 +6,8 @@
 namespace mbq {
 
 namespace {
-LogLevel g_log_level = LogLevel::kInfo;
+/// The minimum level emitted to stderr.
+constexpr LogLevel kMinLevel = LogLevel::kInfo;
 
 const char* LevelName(LogLevel level) {
   switch (level) {
@@ -23,9 +24,6 @@ const char* LevelName(LogLevel level) {
 }
 }  // namespace
 
-void SetLogLevel(LogLevel level) { g_log_level = level; }
-LogLevel GetLogLevel() { return g_log_level; }
-
 namespace internal_logging {
 
 LogMessage::LogMessage(LogLevel level, const char* file, int line)
@@ -34,7 +32,7 @@ LogMessage::LogMessage(LogLevel level, const char* file, int line)
 }
 
 LogMessage::~LogMessage() {
-  if (static_cast<int>(level_) < static_cast<int>(g_log_level)) return;
+  if (static_cast<int>(level_) < static_cast<int>(kMinLevel)) return;
   std::string text = stream_.str();
   std::fprintf(stderr, "%s\n", text.c_str());
 }

@@ -8,10 +8,6 @@ namespace mbq {
 
 enum class LogLevel { kDebug = 0, kInfo = 1, kWarn = 2, kError = 3 };
 
-/// Sets the minimum level emitted to stderr (default kInfo).
-void SetLogLevel(LogLevel level);
-LogLevel GetLogLevel();
-
 namespace internal_logging {
 
 /// Collects one log statement and emits it on destruction.
