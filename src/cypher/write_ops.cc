@@ -39,10 +39,9 @@ const char* KeyProperty(NodeKind kind) {
 /// A node as an op names it: by the uid, tid or tag the store holds.
 struct Endpoint {
   NodeKind kind = NodeKind::kUser;
-  int64_t id = 0;       ///< uid or tid
-  /// False for a new tweet the query gave no tid; its id is then
-  /// store::kUnassignedTid, which the commit path replaces.
-  bool has_id = true;
+  /// uid or tid; store::kUnassignedTid for a new tweet the query gave no
+  /// tid, which the commit path replaces.
+  int64_t id = 0;
   std::string tag;      ///< a hashtag's tag
   std::string text;     ///< a new tweet's text
 };
@@ -250,7 +249,7 @@ class Lowering {
   static Result<WriteOp> LowerRel(const std::string& type,
                                   const Endpoint& src, const Endpoint& dst) {
     const std::string clause = "CREATE [:" + type + "]";
-    if (!src.has_id || !dst.has_id) {
+    if (src.id == store::kUnassignedTid || dst.id == store::kUnassignedTid) {
       return Status::InvalidArgument(
           clause + ": a tweet this query creates needs a tid for a later op "
                    "to name it");
@@ -301,8 +300,7 @@ class Lowering {
   Result<Endpoint> NewEndpoint(const NodePattern& node, const Row& row) {
     Endpoint made;
     made.kind = *KindOfLabel(node.label);
-    made.has_id = made.kind != NodeKind::kTweet;
-    if (!made.has_id) made.id = store::kUnassignedTid;
+    if (made.kind == NodeKind::kTweet) made.id = store::kUnassignedTid;
     for (const auto& [key, expr] : node.properties) {
       MBQ_ASSIGN_OR_RETURN(RtValue v, EvalExpr(*expr, row, slots_, ctx_));
       const bool is_string = key == "tag" || key == "text";
@@ -317,9 +315,12 @@ class Lowering {
         made.tag = v.value.AsString();
       } else if (key == "text") {
         made.text = v.value.AsString();
+      } else if (v.value.AsInt() < 0) {
+        // No node has a negative id, and -1 is store::kUnassignedTid.
+        return Status::InvalidArgument("CREATE " + NodeText(node) + ": " +
+                                       key + " must not be negative");
       } else {
         made.id = v.value.AsInt();
-        made.has_id = true;
       }
     }
     return made;

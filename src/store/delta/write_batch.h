@@ -31,7 +31,7 @@ enum class WriteOpKind : uint8_t {
 
 /// The tweet id of a kPostTweet op that asks the commit path for a fresh
 /// one. No tweet has it, so a tid the caller chose (0 included) commits
-/// as given or fails like any other write.
+/// as given or fails like any other write; Cypher refuses a negative tid.
 inline constexpr int64_t kUnassignedTid = -1;
 
 struct WriteOp {

@@ -952,6 +952,17 @@ TEST_F(CypherWriteTest, ExplicitTidZeroIsRefusedNotReplaced) {
   EXPECT_EQ(w->delta().batches(), 0u);
   EXPECT_EQ(w->next_tid(), next_tid);
 
+  // -1 is store::kUnassignedTid: a query that spells it is refused, not
+  // given a fresh tid.
+  auto negative = Session(*ns).Run(
+      "MATCH (u:user {uid: 7}) "
+      "CREATE (u)-[:posts]->(:tweet {tid: -1, text: 'negative'})");
+  ASSERT_FALSE(negative.ok());
+  EXPECT_TRUE(negative.status().IsInvalidArgument())
+      << negative.status().ToString();
+  EXPECT_EQ(w->delta().batches(), 0u);
+  EXPECT_EQ(w->next_tid(), next_tid);
+
   auto fresh = Session(*ns).Run(
       "MATCH (u:user {uid: 7}) CREATE (u)-[:posts]->(:tweet {text: 'fresh'})");
   ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
